@@ -1,40 +1,22 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy variants.
+"""Hot numeric kernels: exact cosine top-k and pivot-subgraph edge wiring.
 
-Set LINKGCN_DISABLE_NUMBA=1 to force the numpy fallbacks (or when numba is
-not installed). Both paths accumulate dot products in float64 and break
-similarity ties by ascending instance id, so results agree across variants
-and across thread counts. benchmarks/bench_kernels.py compares the two.
+Each kernel has one numpy implementation. Dot products accumulate in
+float64 and similarity ties break by ascending instance id, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("LINKGCN_DISABLE_NUMBA", "").lower() not in ("", "0", "false")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit, prange, set_num_threads  # noqa: F401
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+# There are no compiled kernels; perfbench/bench.py still records this flag.
+HAS_NUMBA = False
 
 
-def set_worker_threads(workers: int) -> None:
-    if HAS_NUMBA and workers >= 1:
-        try:
-            set_num_threads(workers)
-        except ValueError:
-            pass  # more workers than physical threads; numba caps it
-
-
-# ---------------------------------------------------------------------------
-# top-k neighbors by cosine similarity (rows assumed unit-normalized float64)
-
-def _topk_numpy(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def topk_cosine(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k neighbor ids and similarities per row, self excluded.
+    Rows are assumed unit-normalized."""
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
     n = unit.shape[0]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float64)
@@ -53,90 +35,18 @@ def _topk_numpy(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return out_idx, out_sim
 
 
-if HAS_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _topk_numba(unit, k, out_idx, out_sim):  # pragma: no cover - jitted
-        n, d = unit.shape
-        for i in prange(n):
-            idx = out_idx[i]
-            sim = out_sim[i]
-            filled = 0
-            for j in range(n):
-                if j == i:
-                    continue
-                s = 0.0
-                for c in range(d):
-                    s += unit[i, c] * unit[j, c]
-                if filled == k and (s < sim[k - 1] or (s == sim[k - 1] and j > idx[k - 1])):
-                    continue
-                # insertion keeping sims descending, ids ascending within ties
-                pos = filled if filled < k else k - 1
-                while pos > 0 and (sim[pos - 1] < s or (sim[pos - 1] == s and idx[pos - 1] > j)):
-                    sim[pos] = sim[pos - 1]
-                    idx[pos] = idx[pos - 1]
-                    pos -= 1
-                sim[pos] = s
-                idx[pos] = j
-                if filled < k:
-                    filled += 1
-
-
-def topk_cosine(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k neighbor ids and similarities per row, self excluded."""
-    unit = np.ascontiguousarray(unit, dtype=np.float64)
-    if HAS_NUMBA:
-        n = unit.shape[0]
-        out_idx = np.zeros((n, k), dtype=np.int64)
-        out_sim = np.zeros((n, k), dtype=np.float64)
-        _topk_numba(unit, k, out_idx, out_sim)
-        return out_idx, out_sim
-    return _topk_numpy(unit, k)
-
-
-# ---------------------------------------------------------------------------
-# subgraph adjacency from per-node global neighbor lists
-
-def _adjacency_numpy(nodes, nbr_idx, u):
-    n = nodes.shape[0]
-    pos = {int(v): i for i, v in enumerate(nodes)}
-    adj = np.zeros((n, n), dtype=np.float32)
-    for q in range(n):
-        for r in nbr_idx[nodes[q], :u]:
-            p = pos.get(int(r))
-            if p is not None and p != q:
-                adj[q, p] = 1.0
-                adj[p, q] = 1.0
-    return adj
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _adjacency_numba(nodes, nbr_idx, u, lookup):  # pragma: no cover - jitted
-        n = nodes.shape[0]
-        adj = np.zeros((n, n), dtype=np.float32)
-        for q in range(n):
-            row = nbr_idx[nodes[q]]
-            for t in range(u):
-                p = lookup[row[t]]
-                if p >= 0 and p != q:
-                    adj[q, p] = 1.0
-                    adj[p, q] = 1.0
-        return adj
-
-
-def subgraph_adjacency(nodes: np.ndarray, nbr_idx: np.ndarray, u: int,
-                       lookup: np.ndarray | None = None) -> np.ndarray:
+def subgraph_adjacency(nodes: np.ndarray, nbr_idx: np.ndarray, u: int) -> np.ndarray:
     """Symmetric 0/1 adjacency: edge (q, r) when r is among q's top-u global
-    neighbors and both are subgraph nodes. `lookup` is a reusable length-N
-    scratch array (filled/cleared here) mapping instance id -> node position."""
-    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-    if HAS_NUMBA:
-        if lookup is None:
-            lookup = np.full(nbr_idx.shape[0], -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.shape[0])
-        adj = _adjacency_numba(nodes, nbr_idx, u, lookup)
-        lookup[nodes] = -1
-        return adj
-    return _adjacency_numpy(nodes, nbr_idx, u)
+    neighbors and both are subgraph nodes. `nodes` must be distinct ids."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    n = nodes.shape[0]
+    adj = np.zeros((n, n), dtype=np.float32)
+    cand = nbr_idx[nodes, :u]
+    sorter = np.argsort(nodes)
+    # position of each candidate among `nodes`; misses are caught by the check below
+    p = sorter[np.minimum(np.searchsorted(nodes, cand, sorter=sorter), n - 1)]
+    q = np.broadcast_to(np.arange(n)[:, None], cand.shape)
+    hit = (nodes[p] == cand) & (p != q)
+    adj[q[hit], p[hit]] = 1.0
+    adj[p[hit], q[hit]] = 1.0
+    return adj

@@ -137,7 +137,7 @@ def cmd_upper_bound(args):
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
     k_list = [int(tok) for tok in args.k_list.split(",")]
-    nbrs = pipeline.build_knn(fs, max(k_list), workers=cfg.workers)
+    nbrs = pipeline.build_knn(fs, max(k_list))
     print("k\tF\tNMI")
     for k, report in metrics.knn_upper_bound(fs, nbrs, k_list):
         print(f"{k}\t{report.bcubed_f:.4f}\t{report.nmi:.4f}")
@@ -163,7 +163,7 @@ def cmd_toy2d(args):
 def cmd_baseline(args):
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args), cfg)
-    nbrs = pipeline.build_knn(fs, args.k, workers=cfg.workers)
+    nbrs = pipeline.build_knn(fs, args.k)
     assignment = merge.threshold_baseline(fs, nbrs, args.tau_sim)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "baseline_partition.tsv")
@@ -181,7 +181,6 @@ def _config_overrides(args) -> dict:
 def _add_common(sub, features=False, labels=False, out_dir=False):
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
     if features:
         sub.add_argument("--features", required=True, help="FMAT feature file")
     if labels:
@@ -221,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cluster", help="cluster a collection with a trained model")
     _add_common(p, features=True, out_dir=True)
     p.add_argument("--checkpoint", required=True, help="GCNM model file")
+    p.add_argument("--workers", type=int, default=None, help="threads scoring pivots")
     p.add_argument("--merge", choices=("propagate", "bfs"))
     p.add_argument("--tau", type=float)
     p.add_argument("--tau0", type=float)

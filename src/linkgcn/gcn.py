@@ -9,6 +9,7 @@ into linkage likelihoods; loss and predictions cover 1-hop nodes only.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -335,29 +336,70 @@ def save_model(model: GcnModel, path) -> None:
 
 
 def load_model(path) -> GcnModel:
+    """Read a GCNM checkpoint, checking its header, tensor count, that layer
+    shapes chain, and that nothing trails the last tensor."""
     with open(path, "rb") as fh:
-        if fh.read(4) != GCNM_MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        version, agg_tag, row_norm, n_layers = struct.unpack("<IBBI", fh.read(10))
-        if version != GCNM_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
-        tensors = []
-        for _ in range(n_tensors):
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-            count = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(fh.read(count * 4), dtype="<f4")
-            if data.size != count:
-                raise FormatError(f"{path}: truncated tensor payload")
-            tensors.append(data.reshape(shape).copy())
+        buf = fh.read()
+    if buf[:4] != GCNM_MAGIC:
+        raise FormatError(f"{path}: bad magic")
+    pos = 4
+
+    def take(fmt, what):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(buf):
+            raise FormatError(f"{path}: truncated {what}")
+        pos += size
+        return struct.unpack_from(fmt, buf, pos - size)
+
+    version, agg_tag, row_norm, n_layers = take("<IBBI", "header")
+    if version != GCNM_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if agg_tag >= len(AGGREGATORS):
+        raise FormatError(f"{path}: unknown aggregator tag {agg_tag}")
     aggregator = AGGREGATORS[agg_tag]
+    (n_tensors,) = take("<I", "header")
+    expected = n_layers + 2 + (2 * n_layers if aggregator == "attention" else 0)
+    if n_layers < 1 or n_tensors != expected:
+        raise FormatError(f"{path}: {n_tensors} tensors for {n_layers} {aggregator} "
+                          f"layers, expected {expected}")
+    tensors = []
+    for _ in range(n_tensors):
+        (rank,) = take("<I", "tensor shape")
+        shape = take(f"<{rank}Q", "tensor shape")
+        count = math.prod(shape)
+        if pos + 4 * count > len(buf):
+            raise FormatError(f"{path}: truncated tensor payload")
+        tensors.append(np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
+                       .reshape(shape).copy())
+        pos += 4 * count
+    if pos != len(buf):
+        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
+
     layers = tensors[:n_layers]
     head_w, head_b = tensors[n_layers], tensors[n_layers + 1]
     attn = None
     if aggregator == "attention":
         rest = tensors[n_layers + 2:]
         attn = [(rest[2 * i], rest[2 * i + 1]) for i in range(n_layers)]
-    return GcnModel(aggregator=aggregator, layer_weights=layers, head_weight=head_w,
-                    head_bias=head_b, attention_mlp=attn,
-                    mean_row_normalized=bool(row_norm))
+    d = layers[0].shape[0] // 2 if layers[0].ndim == 2 else 0
+    for i, w in enumerate(layers):
+        if d < 1 or w.ndim != 2 or w.shape[0] != 2 * d or w.shape[1] < 1:
+            raise FormatError(f"{path}: layer {i} weight shape {w.shape} "
+                              f"does not fit input width {d}")
+        if attn is not None:
+            w1, w2 = attn[i]
+            if w1.ndim != 2 or w1.shape[0] != 2 * d or w1.shape[1] < 1 \
+                    or w2.shape != (w1.shape[1], 1):
+                raise FormatError(f"{path}: layer {i} attention shapes {w1.shape}, "
+                                  f"{w2.shape} do not fit input width {d}")
+        d = w.shape[1]
+    if head_w.shape != (d, 2) or head_b.shape != (2,):
+        raise FormatError(f"{path}: head shapes {head_w.shape}, {head_b.shape} "
+                          f"do not fit width {d}")
+    try:
+        return GcnModel(aggregator=aggregator, layer_weights=layers, head_weight=head_w,
+                        head_bias=head_b, attention_mlp=attn,
+                        mean_row_normalized=bool(row_norm))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

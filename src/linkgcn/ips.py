@@ -99,21 +99,19 @@ def normalize_node_features(fs: FeatureSet, pivot: int, nodes: np.ndarray) -> np
     return fs.features[nodes] - fs.features[pivot]
 
 
-def add_edges(nodes: np.ndarray, nbrs: NeighborTable, u: int,
-              _lookup: np.ndarray | None = None) -> np.ndarray:
+def add_edges(nodes: np.ndarray, nbrs: NeighborTable, u: int) -> np.ndarray:
     """Wire edges: (q, r) when r is among q's top-u neighbors in the whole
     collection and r is also a subgraph node; symmetrized, zero diagonal."""
     if u > nbrs.k:
         raise ValueError(f"u={u} exceeds neighbor table k={nbrs.k}")
-    return _kernels.subgraph_adjacency(np.asarray(nodes, dtype=np.int64),
-                                       nbrs.indices, u, _lookup)
+    return _kernels.subgraph_adjacency(nodes, nbrs.indices, u)
 
 
-def build_ips(pivot: int, fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig,
-              _lookup: np.ndarray | None = None) -> InstancePivotSubgraph:
+def build_ips(pivot: int, fs: FeatureSet, nbrs: NeighborTable,
+              cfg: IpsConfig) -> InstancePivotSubgraph:
     """Full subgraph construction: discovery, pivot normalization, edges."""
     nodes, hop_of = discover_nodes(pivot, nbrs, cfg)
     feats = normalize_node_features(fs, pivot, nodes)
-    adj = add_edges(nodes, nbrs, cfg.u, _lookup)
+    adj = add_edges(nodes, nbrs, cfg.u)
     return InstancePivotSubgraph(pivot=int(pivot), nodes=nodes, hop_of=hop_of,
                                  features=feats, adjacency=adj)

@@ -58,11 +58,11 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def build_knn(fs: FeatureSet, k: int, workers: int = 1) -> NeighborTable:
+def build_knn(fs: FeatureSet, k: int) -> NeighborTable:
     """Exact top-k neighbors of every instance; O(N^2 D) brute force.
 
     Ordering is by cosine similarity whether or not the rows were
-    pre-normalized. Output is independent of worker count.
+    pre-normalized, with ties broken by ascending instance id.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -73,7 +73,6 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 1) -> NeighborTable:
     if np.any(norms == 0.0):
         raise ValueError("zero-norm row; cosine ordering undefined")
     unit /= norms[:, None]
-    _kernels.set_worker_threads(workers)
     idx, sim = _kernels.topk_cosine(unit, k)
     return NeighborTable(indices=idx, similarities=sim.astype(np.float32))
 

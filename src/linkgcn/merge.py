@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linkgcn.dataset import FeatureSet
+from linkgcn.dataset import FeatureSet, FormatError
 from linkgcn.knn import NeighborTable
 
 
@@ -128,21 +128,17 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
 
     assignment = np.full(n, -1, dtype=np.int64)
     queued = np.ones(n, dtype=bool)
-    next_label = 0
     t = 0
     while queued.any():
         tau = tau0 + t * dtau
-        active = queued & np.ones(n, dtype=bool)
-        keep = (edges.w >= tau) & active[edges.i] & active[edges.j]
+        keep = (edges.w >= tau) & queued[edges.i] & queued[edges.j]
         comp = _components(n, edges.i[keep], edges.j[keep])
-        comp[~active] = -1
-        sizes = np.bincount(comp[active], minlength=comp.max() + 1 if active.any() else 0)
-        for c in np.unique(comp[active]):
-            members = np.flatnonzero(comp == c)
-            if sizes[c] <= max_size or tau > 1.0:
-                assignment[members] = next_label
-                next_label += 1
-                queued[members] = False
+        sizes = np.bincount(comp[queued], minlength=n)
+        done = queued & ((sizes[comp] <= max_size) | (tau > 1.0))
+        # component ids are < n, so an offset of n per round keeps labels
+        # distinct across rounds; canonical_labels renumbers them at the end
+        assignment[done] = t * n + comp[done]
+        queued &= ~done
         t += 1
     return canonical_labels(assignment)
 
@@ -174,17 +170,33 @@ def save_partition(assignment: np.ndarray, path) -> None:
 
 
 def load_partition(path) -> np.ndarray:
+    """Read `id<TAB>cluster` lines; ids must be exactly 0..N-1 in any order
+    and cluster labels non-negative."""
     ids, clusters = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            a, b = line.split("\t")
-            ids.append(int(a))
-            clusters.append(int(b))
-    out = np.empty(len(ids), dtype=np.int64)
-    out[np.asarray(ids)] = np.asarray(clusters)
+            fields = line.split("\t")
+            try:
+                a, b = (int(tok) for tok in fields)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected two tab-separated "
+                                  f"integers, got {line[:40]!r}") from None
+            ids.append(a)
+            clusters.append(b)
+    ids = np.asarray(ids, dtype=np.int64)
+    clusters = np.asarray(clusters, dtype=np.int64)
+    n = ids.shape[0]
+    if n and (ids.min() < 0 or ids.max() >= n):
+        raise FormatError(f"{path}: instance ids must lie in [0, {n - 1}] for {n} lines")
+    if np.unique(ids).size != n:
+        raise FormatError(f"{path}: duplicate instance id")
+    if n and clusters.min() < 0:
+        raise FormatError(f"{path}: negative cluster label")
+    out = np.empty(n, dtype=np.int64)
+    out[ids] = clusters
     return out
 
 

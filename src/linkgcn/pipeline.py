@@ -7,9 +7,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from linkgcn import _kernels
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_ips, clamp_config
@@ -46,9 +43,8 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
     probs = [None] * fs.n
 
     def run_chunk(lo: int, hi: int):
-        lookup = np.full(fs.n, -1, dtype=np.int64)
         for pivot in range(lo, hi):
-            ips = build_ips(pivot, fs, nbrs, ips_cfg, lookup)
+            ips = build_ips(pivot, fs, nbrs, ips_cfg)
             likelihood, _ = forward(model, ips)
             hop1[pivot] = ips.nodes[: ips.hop1_count]
             probs[pivot] = likelihood
@@ -68,12 +64,11 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
             dtau: float = 0.05, max_size: int = 600, workers: int = 1,
             nbrs: NeighborTable | None = None):
     """Full pipeline. Returns (assignment, edges, TimingReport)."""
-    _kernels.set_worker_threads(workers)
     t0 = time.perf_counter()
     if nbrs is None:
         ips_eff = clamp_config(ips_cfg, fs.n)
         k_table = max(max(ips_eff.k_per_hop), ips_eff.u)
-        nbrs = build_knn(fs, k_table, workers=workers)
+        nbrs = build_knn(fs, k_table)
     t1 = time.perf_counter()
     edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
     t2 = time.perf_counter()

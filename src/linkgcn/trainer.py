@@ -87,9 +87,8 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
 
     # subgraphs are static across epochs; build once
     examples = []
-    lookup = np.full(fs.n, -1, dtype=np.int64)
     for pivot in range(fs.n):
-        ips = build_ips(pivot, fs, nbrs, ips_cfg, lookup)
+        ips = build_ips(pivot, fs, nbrs, ips_cfg)
         if ips.hop1_count == 0:
             continue
         examples.append((ips.features.astype(cfg.dtype), ips.adjacency,

@@ -89,6 +89,31 @@ def union_find_components(n, src, dst):
     return out
 
 
+def propagate_oracle(edges, n, tau0, dtau, max_size):
+    """Reference pseudo-label propagation: the original per-component loop,
+    with union-find components. Returns (canonical assignment, rounds run)."""
+    from linkgcn.merge import canonical_labels
+
+    assignment = np.full(n, -1, dtype=np.int64)
+    queued = np.ones(n, dtype=bool)
+    next_label = 0
+    t = 0
+    while queued.any():
+        tau = tau0 + t * dtau
+        keep = (edges.w >= tau) & queued[edges.i] & queued[edges.j]
+        comp = union_find_components(n, edges.i[keep], edges.j[keep])
+        comp[~queued] = -1
+        sizes = np.bincount(comp[queued])
+        for c in np.unique(comp[queued]):
+            members = np.flatnonzero(comp == c)
+            if sizes[c] <= max_size or tau > 1.0:
+                assignment[members] = next_label
+                next_label += 1
+                queued[members] = False
+        t += 1
+    return canonical_labels(assignment), t
+
+
 def bcubed_pair_oracle(truth, pred):
     """Exhaustive pair enumeration, self-pairs included, float64."""
     n = len(truth)

@@ -80,6 +80,16 @@ def test_train_missing_labels_exits(synth_dir, tmp_path):
               "--out-dir", str(tmp_path / "x")])
 
 
+def test_train_rejects_workers(synth_dir, tmp_path, capsys):
+    # --workers only exists on `cluster`, the one command it affects
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--features", str(synth_dir / "features.fmat"),
+              "--labels", str(synth_dir / "labels.lbls"), "--workers", "2",
+              "--out-dir", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_train_bad_feature_path_returns_one(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--features", str(tmp_path / "nope.fmat"),
                        "--labels", str(tmp_path / "nope.lbls"),
@@ -148,6 +158,22 @@ def test_eval_distractor_flag(synth_dir, trained_dir, tmp_path, capsys):
                           "--labels", str(synth_dir / "labels.lbls"),
                           "--ignore-distractors")
     assert code == 0
+
+
+def test_malformed_inputs_exit_one_line(synth_dir, trained_dir, tmp_path, capsys):
+    bad_partition = tmp_path / "p.tsv"
+    bad_partition.write_text("0\t0\n5\t1\n")
+    code, _, err = run(capsys, "eval", "--partition", str(bad_partition),
+                       "--labels", str(synth_dir / "labels.lbls"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+    bad_model = tmp_path / "m.gcnm"
+    bad_model.write_bytes((trained_dir / "model.gcnm").read_bytes() + b"\0")
+    code, _, err = run(capsys, "cluster", "--features", str(synth_dir / "features.fmat"),
+                       "--checkpoint", str(bad_model), "--out-dir", str(tmp_path / "c"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------ upper-bound

@@ -3,7 +3,7 @@ import pytest
 
 from linkgcn import gcn
 from linkgcn.config import seed_stream
-from linkgcn.dataset import FeatureSet, normalize_rows
+from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.gcn import (aggregate_attention, aggregate_mean, aggregate_weighted,
                          gconv_forward, init_model, load_model, save_model)
 from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_ips
@@ -319,6 +319,71 @@ def test_checkpoint_roundtrip(tmp_path, aggregator):
     assert back.layer_dims == model.layer_dims
     for a, b in zip(model.parameters(), back.parameters()):
         np.testing.assert_array_equal(a.astype(np.float32), b)
+
+
+def _patch(data: bytes, offset: int, value: bytes) -> bytes:
+    return data[:offset] + value + data[offset + len(value):]
+
+
+def _saved_bytes(tmp_path, model) -> bytes:
+    save_model(model, tmp_path / "src.gcnm")
+    return (tmp_path / "src.gcnm").read_bytes()
+
+
+def _model_with(model, **changes):
+    fields = dict(aggregator=model.aggregator, layer_weights=model.layer_weights,
+                  head_weight=model.head_weight, head_bias=model.head_bias,
+                  attention_mlp=model.attention_mlp)
+    fields.update(changes)
+    return gcn.GcnModel(**fields)
+
+
+# header: magic[0:4] version[4:8] aggregator[8] row_norm[9] n_layers[10:14] n_tensors[14:18]
+@pytest.mark.parametrize("case, match", [
+    ("bad_tag", "unknown aggregator tag 7"),
+    ("short_header", "truncated header"),
+    ("short_shape", "truncated tensor shape"),
+    ("short_payload", "truncated tensor payload"),
+    ("layer_count", "tensors for 3 mean layers, expected 5"),
+    ("trailing", "1 trailing bytes"),
+    ("unchained", "layer 1 weight shape"),
+    ("head", "head shapes"),
+    ("attention", "layer 0 attention shapes"),
+    ("nonfinite", "non-finite"),
+])
+def test_load_model_rejects_malformed(tmp_path, case, match):
+    mean = init_model([4, 3, 2], "mean", seed_stream(0, "init"))
+    attn = init_model([4, 3, 2], "attention", seed_stream(0, "init"), attention_hidden=2)
+    data = _saved_bytes(tmp_path, mean)
+    if case == "bad_tag":
+        data = _patch(data, 8, b"\x07")
+    elif case == "short_header":
+        data = data[:12]
+    elif case == "short_shape":
+        data = data[:26]             # mid-way through the first tensor's shape
+    elif case == "short_payload":
+        data = data[:-1]
+    elif case == "layer_count":
+        data = _patch(data, 10, (3).to_bytes(4, "little"))
+    elif case == "trailing":
+        data += b"\0"
+    elif case == "unchained":
+        data = _saved_bytes(tmp_path, _model_with(mean, layer_weights=[
+            mean.layer_weights[0], np.zeros((4, 2), np.float32)]))
+    elif case == "head":
+        data = _saved_bytes(tmp_path, _model_with(mean, head_weight=np.zeros((3, 2), np.float32)))
+    elif case == "attention":
+        w1, w2 = attn.attention_mlp[0]
+        data = _saved_bytes(tmp_path, _model_with(attn, attention_mlp=[
+            (w1, np.zeros((3, 1), np.float32)), attn.attention_mlp[1]]))
+    elif case == "nonfinite":
+        mean.head_bias[0] = np.inf   # after construction, so save_model writes it
+        data = _saved_bytes(tmp_path, mean)
+    path = tmp_path / "bad.gcnm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=match) as exc:
+        load_model(path)
+    assert "\n" not in str(exc.value)
 
 
 def test_model_rejects_nonfinite():

@@ -118,21 +118,27 @@ def test_add_edges_symmetrizes_one_direction():
 
 def test_add_edges_rank_oracle():
     rng = np.random.default_rng(8)
-    fs = normalize_rows(FeatureSet(features=rng.standard_normal((30, 4)).astype(np.float32)))
-    nbrs = build_knn(fs, 5)
+    fs = normalize_rows(FeatureSet(features=rng.standard_normal((260, 8)).astype(np.float32)))
+    nbrs = build_knn(fs, 200)
     oracle_lists = sorted_neighbor_oracle(fs.features)
-    nodes = np.array(sorted(rng.choice(30, size=12, replace=False)))
-    u = 3
-    adj = add_edges(nodes, nbrs, u)
-    node_set = set(int(v) for v in nodes)
-    expect = np.zeros((len(nodes), len(nodes)))
-    pos = {int(v): i for i, v in enumerate(nodes)}
-    for q in nodes:
-        for r in oracle_lists[q][:u]:
-            if r in node_set:
-                expect[pos[int(q)], pos[r]] = 1
-                expect[pos[r], pos[int(q)]] = 1
-    np.testing.assert_array_equal(adj, expect)
+    cases = [(np.array(sorted(rng.choice(fs.n, size=12, replace=False))), 3),
+             (np.array([int(rng.integers(fs.n))]), 5)]           # one-node subgraph
+    # hop-major discovery order, in the paper's test and train regimes
+    for cfg in (IpsConfig(h=2, k_per_hop=(80, 5), u=5),
+                IpsConfig(h=2, k_per_hop=(200, 10), u=10)):
+        for pivot in (0, 131):
+            cases.append((discover_nodes(pivot, nbrs, cfg)[0], cfg.u))
+    for nodes, u in cases:
+        adj = add_edges(nodes, nbrs, u)
+        node_set = set(int(v) for v in nodes)
+        expect = np.zeros((len(nodes), len(nodes)))
+        pos = {int(v): i for i, v in enumerate(nodes)}
+        for q in nodes:
+            for r in oracle_lists[q][:u]:
+                if r in node_set:
+                    expect[pos[int(q)], pos[r]] = 1
+                    expect[pos[r], pos[int(q)]] = 1
+        np.testing.assert_array_equal(adj, expect)
 
 
 def test_add_edges_u_exceeds_table(small_random_set):

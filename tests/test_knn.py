@@ -95,13 +95,6 @@ def test_build_knn_deterministic(small_random_set):
     assert a.similarities.tobytes() == b.similarities.tobytes()
 
 
-def test_build_knn_worker_invariant(small_random_set):
-    a = build_knn(small_random_set, 7, workers=1)
-    b = build_knn(small_random_set, 7, workers=4)
-    assert a.indices.tobytes() == b.indices.tobytes()
-    assert a.similarities.tobytes() == b.similarities.tobytes()
-
-
 def test_neighbor_table_validation():
     with pytest.raises(ValueError, match="k="):
         NeighborTable(indices=np.zeros((3, 3), np.int64),

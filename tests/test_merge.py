@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from linkgcn.dataset import FeatureSet, normalize_rows
+from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.knn import build_knn
 from linkgcn.merge import (WeightedEdgeSet, bfs_cluster, canonical_labels,
                            filter_singletons, load_partition, pool_edges,
                            propagate_cluster, save_edges, save_partition,
                            threshold_baseline)
-from oracle_utils import union_find_components
+from oracle_utils import propagate_oracle, union_find_components
 
 
 def edge_set(triples):
@@ -161,14 +161,19 @@ def test_propagate_invalid_schedule():
 
 def test_propagate_total_assignment_random_graphs():
     rng = np.random.default_rng(9)
+    rounds = []
     for _ in range(20):
         n = int(rng.integers(10, 200))
         edges = random_edges(rng, n, 3 * n)
-        out = propagate_cluster(edges, n, tau0=0.3, dtau=0.1,
-                                max_size=int(rng.integers(1, 30)))
+        max_size = int(rng.integers(1, 30))
+        out = propagate_cluster(edges, n, tau0=0.3, dtau=0.1, max_size=max_size)
         assert out.shape == (n,)
         assert out.min() >= 0
         assert len(np.unique(out)) == out.max() + 1
+        expect, t = propagate_oracle(edges, n, tau0=0.3, dtau=0.1, max_size=max_size)
+        np.testing.assert_array_equal(out, expect)
+        rounds.append(t)
+    assert min(rounds) == 1 and max(rounds) > 3  # single- and multi-round cases
 
 
 # -------------------------------------------------------- filter_singletons
@@ -218,6 +223,26 @@ def test_partition_roundtrip(tmp_path):
     save_partition(assignment, path)
     assert path.read_text().splitlines()[0] == "0\t0"
     np.testing.assert_array_equal(load_partition(path), assignment)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1\t0\n0\t1\n", None),                       # any id order is fine
+    ("0\t0\n2\t1\n", "ids must lie in"),          # id 1 missing, 2 out of range
+    ("0\t0\n-1\t1\n", "ids must lie in"),         # negative id
+    ("0\t0\n0\t1\n", "duplicate instance id"),
+    ("0\t0\n1\t-3\n", "negative cluster label"),
+    ("0\t0\n1\n", ":2: expected two"),
+    ("0\t0\t0\n", ":1: expected two"),
+    ("0\tx\n", ":1: expected two"),
+])
+def test_load_partition_validation(tmp_path, text, match):
+    path = tmp_path / "p.tsv"
+    path.write_text(text)
+    if match is None:
+        np.testing.assert_array_equal(load_partition(path), [1, 0])
+        return
+    with pytest.raises(FormatError, match=match):
+        load_partition(path)
 
 
 def test_edge_dump_format(tmp_path):
