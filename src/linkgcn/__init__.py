@@ -7,7 +7,7 @@ merging of likely links into clusters.
 
 from linkgcn.dataset import FeatureSet, SynthSpec, load_features, save_features, \
     load_labels, save_labels, normalize_rows, synth_generate, concat_views
-from linkgcn.knn import NeighborTable, cosine_similarity, build_knn
+from linkgcn.knn import NeighborTable, build_knn
 from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_ips
 from linkgcn.gcn import GcnModel, init_model, forward, loss_and_grads
 from linkgcn.merge import WeightedEdgeSet, pool_edges, bfs_cluster, \

@@ -16,21 +16,12 @@ import numpy as np
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
 from linkgcn.config import make_config, seed_stream
 from linkgcn.dataset import FeatureSet
+from linkgcn.ips import IpsConfig, build_ips, clamp_config, regime_config
 
 
-def _parse_range(text: str, label: str):
+def _parse_range(text: str, label: str, cast=int):
     try:
-        lo, hi = (int(tok) for tok in text.split(":"))
-    except ValueError:
-        raise SystemExit(f"error: {label} must look like LO:HI, got {text!r}")
-    if lo > hi:
-        raise SystemExit(f"error: inverted {label} range {text!r}")
-    return lo, hi
-
-
-def _parse_float_range(text: str, label: str):
-    try:
-        lo, hi = (float(tok) for tok in text.split(":"))
+        lo, hi = (cast(tok) for tok in text.split(":"))
     except ValueError:
         raise SystemExit(f"error: {label} must look like LO:HI, got {text!r}")
     if lo > hi:
@@ -66,7 +57,7 @@ def cmd_synth(args):
         samples_per_identity=_parse_range(args.per_id, "--per-id"),
         dim=args.dim,
         center_spread=args.center_spread,
-        noise_scale=_parse_float_range(args.noise, "--noise"),
+        noise_scale=_parse_range(args.noise, "--noise", float),
         outlier_fraction=args.outliers,
         seed=args.seed,
     )
@@ -86,7 +77,8 @@ def cmd_train(args):
     train_cfg = trainer.TrainConfig(
         aggregator=cfg.aggregator, hidden_dims=tuple(cfg.hidden_dims),
         attention_hidden=cfg.attention_hidden,
-        mean_row_normalized=cfg.mean_row_normalize, ips=cfg.train_ips(),
+        mean_row_normalized=cfg.mean_row_normalize,
+        ips=regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         momentum=cfg.momentum, lr_decay=cfg.lr_decay, seed=cfg.seed)
     model, curve = trainer.train(fs, train_cfg)
@@ -104,8 +96,9 @@ def cmd_cluster(args):
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args), cfg)
     model = gcn.load_model(args.checkpoint)
+    ips_cfg = regime_config(cfg.test_k1, cfg.test_k2, cfg.test_u, cfg.hops)
     assignment, edges, timing = pipeline.cluster(
-        fs, model, cfg.test_ips(), merge=cfg.merge, tau=cfg.tau, tau0=cfg.tau0,
+        fs, model, ips_cfg, merge=cfg.merge, tau=cfg.tau, tau0=cfg.tau0,
         dtau=cfg.dtau, max_size=cfg.max_size, workers=cfg.workers)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "partition.tsv")
@@ -147,9 +140,8 @@ def cmd_toy2d(args):
     spec = dataset.SynthSpec(num_identities=args.ids, samples_per_identity=(args.per_id, args.per_id),
                              dim=2, center_spread=1.0, noise_scale=(0.15, 0.15), seed=args.seed)
     fs = dataset.synth_generate(spec)
-    from linkgcn.ips import IpsConfig, build_ips, clamp_config
     cfg = clamp_config(IpsConfig(h=2, k_per_hop=(args.k1, 2), u=3), fs.n)
-    nbrs = pipeline.build_knn(fs, max(max(cfg.k_per_hop), cfg.u))
+    nbrs = pipeline.build_knn(fs, cfg.table_k)
     ips = build_ips(0, fs, nbrs, cfg)
     rows = trainer.toy2d_trace(fs, ips, steps=args.steps, seed=args.seed)
     out = _out_dir(args)

@@ -54,24 +54,17 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
 
-    def train_ips(self):
-        from linkgcn.ips import IpsConfig
-        ks = [self.train_k1, self.train_k2][: self.hops] or [self.train_k1]
-        while len(ks) < self.hops:
-            ks.append(self.train_k2)
-        return IpsConfig(h=self.hops, k_per_hop=tuple(ks), u=self.train_u)
 
-    def test_ips(self):
-        from linkgcn.ips import IpsConfig
-        ks = [self.test_k1, self.test_k2][: self.hops] or [self.test_k1]
-        while len(ks) < self.hops:
-            ks.append(self.test_k2)
-        return IpsConfig(h=self.hops, k_per_hop=tuple(ks), u=self.test_u)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(value: str, target_type):
     if target_type is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        word = value.strip().lower()
+        if word not in _BOOLEANS:
+            raise ValueError(f"expected true or false, got {value!r}")
+        return _BOOLEANS[word]
     if target_type is tuple:
         return tuple(int(tok) for tok in value.replace(",", " ").split())
     return target_type(value)
@@ -92,7 +85,10 @@ def load_config_file(path) -> dict:
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(value, types[key])
+            try:
+                out[key] = _coerce(value, types[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

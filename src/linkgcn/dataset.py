@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -85,6 +86,17 @@ class SynthSpec:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
+def _read_payload(fh, path, nbytes: int) -> bytes:
+    """The rest of the file, which must be exactly the nbytes the header
+    declares; checked against the file size before anything is read."""
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < nbytes:
+        raise FormatError(f"{path}: truncated payload, expected {nbytes} bytes got {have}")
+    if have > nbytes:
+        raise FormatError(f"{path}: {have - nbytes} trailing bytes after the payload")
+    return fh.read(nbytes)
+
+
 def save_features(fs: FeatureSet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
@@ -107,10 +119,7 @@ def load_features(path) -> FeatureSet:
             raise FormatError(f"{path}: header declares N=0")
         if d == 0:
             raise FormatError(f"{path}: header declares D=0")
-        payload = fh.read(n * d * 4)
-        if len(payload) < n * d * 4:
-            raise FormatError(f"{path}: truncated payload, expected {n * d * 4} bytes "
-                              f"got {len(payload)}")
+        payload = _read_payload(fh, path, n * d * 4)
     feats = np.frombuffer(payload, dtype="<f4").reshape(n, d)
     return FeatureSet(features=feats, normalized=False)
 
@@ -134,10 +143,7 @@ def load_labels(path) -> np.ndarray:
         version, n = struct.unpack("<IQ", header)
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(n * 8)
-        if len(payload) < n * 8:
-            raise FormatError(f"{path}: truncated payload, expected {n * 8} bytes "
-                              f"got {len(payload)}")
+        payload = _read_payload(fh, path, n * 8)
     return np.frombuffer(payload, dtype="<i8").copy()
 
 

@@ -105,48 +105,6 @@ def aggregate_mean(A: np.ndarray, row_normalized: bool = False) -> np.ndarray:
     return inv_sqrt[:, None] * A * inv_sqrt[None, :]
 
 
-def _masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax over the masked positions only; empty rows stay zero."""
-    neg = np.where(mask, scores, -np.inf)
-    rows = mask.any(axis=1)
-    out = np.zeros_like(scores)
-    if not rows.any():
-        return out
-    m = np.max(neg[rows], axis=1, keepdims=True)
-    e = np.exp(neg[rows] - m)
-    e[~mask[rows]] = 0.0
-    out[rows] = e / e.sum(axis=1, keepdims=True)
-    return out
-
-
-def _weighted_forward(A: np.ndarray, X: np.ndarray):
-    mask = A > 0
-    r = np.linalg.norm(X, axis=1)
-    safe = np.where(r > 0, r, 1.0)
-    U = X / safe[:, None]          # zero rows stay zero -> similarity 0
-    S = U @ U.T
-    G = _masked_row_softmax(S, mask)
-    return G, (mask, U, r, S, G)
-
-
-def aggregate_weighted(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Cosine-similarity softmax over each node's neighbors."""
-    return _weighted_forward(A, np.asarray(X))[0]
-
-
-def _weighted_backward(dG: np.ndarray, cache):
-    mask, U, r, S, G = cache
-    dS = G * (dG - np.sum(dG * G, axis=1, keepdims=True))
-    dS[~mask] = 0.0
-    B = dS + dS.T
-    q = np.sum(B * S, axis=1)
-    dX = B @ U - q[:, None] * U
-    nz = r > 0
-    dX[nz] /= r[nz, None]
-    dX[~nz] = 0.0
-    return dX
-
-
 def _edge_list(A: np.ndarray):
     ei, ej = np.nonzero(A)          # row-major: ei sorted ascending
     counts = np.bincount(ei, minlength=A.shape[0])
@@ -163,55 +121,96 @@ def _segment_softmax(vals, counts, nz, starts):
     return e / z
 
 
-def _attention_forward(A, X, w1, w2, edges=None):
-    ei, ej, counts, nz, starts = _edge_list(A) if edges is None else edges
-    n = A.shape[0]
-    G = np.zeros_like(A, dtype=X.dtype)
-    if ei.size == 0:
-        return G, (ei, ej, counts, nz, starts, None, None, None, None)
+def _segment_softmax_backward(dw, w, counts, nz, starts):
+    """Gradient of the scores given the gradient of their softmax weights w."""
+    return w * (dw - np.repeat(np.add.reduceat(dw * w, starts), counts[nz]))
+
+
+def _cosine_scores(X, ei, ej):
+    r = np.linalg.norm(X, axis=1)
+    safe = np.where(r > 0, r, 1.0)
+    U = X / safe[:, None]          # zero rows stay zero -> similarity 0
+    return np.sum(U[ei] * U[ej], axis=1), (U, r)
+
+
+def _cosine_backward(dscores, ei, ej, cache):
+    U, r = cache
+    dU = np.zeros_like(U)
+    np.add.at(dU, ei, dscores[:, None] * U[ej])
+    np.add.at(dU, ej, dscores[:, None] * U[ei])
+    dX = dU - np.sum(dU * U, axis=1, keepdims=True) * U
+    nz = r > 0
+    dX[nz] /= r[nz, None]
+    dX[~nz] = 0.0
+    return dX
+
+
+def _mlp_scores(X, ei, ej, w1, w2):
     C = np.concatenate([X[ei], X[ej]], axis=1)
     Hpre = C @ w1
     H = np.maximum(Hpre, 0)
-    scores = (H @ w2).ravel()
+    return (H @ w2).ravel(), (C, Hpre, H)
+
+
+def _mlp_backward(dscores, ei, ej, cache, X, w1, w2):
+    C, Hpre, H = cache
+    dH = dscores[:, None] * w2.ravel()[None, :]
+    dH[Hpre <= 0] = 0.0
+    dC = dH @ w1.T
+    d = X.shape[1]
+    dX = np.zeros_like(X)
+    np.add.at(dX, ei, dC[:, :d])
+    np.add.at(dX, ej, dC[:, d:])
+    return dX, (C.T @ dH, (H.T @ dscores)[:, None])
+
+
+def _softmax_forward(A, X, edges, mlp=None):
+    """Softmax over each node's neighbors of one score per edge: the cosine of
+    its endpoints, or the attention MLP's output when mlp = (w1, w2)."""
+    ei, ej, counts, nz, starts = edges
+    G = np.zeros_like(A, dtype=X.dtype)
+    if ei.size == 0:
+        return G, (edges, None, None)
+    if mlp is None:
+        scores, score_cache = _cosine_scores(X, ei, ej)
+    else:
+        scores, score_cache = _mlp_scores(X, ei, ej, *mlp)
     w = _segment_softmax(scores, counts, nz, starts)
     G[ei, ej] = w
-    return G, (ei, ej, counts, nz, starts, C, Hpre, H, w)
+    return G, (edges, w, score_cache)
+
+
+def _softmax_backward(dM, X, cache, mlp=None):
+    """Gradient reaching X, and the MLP when given, through the weights of
+    M = G X. Returns (dX, (dw1, dw2) or None)."""
+    (ei, ej, counts, nz, starts), w, score_cache = cache
+    if ei.size == 0:
+        return np.zeros_like(X), None if mlp is None else tuple(np.zeros_like(p) for p in mlp)
+    dw = np.sum(dM[ei] * X[ej], axis=1)          # dL/dG at each edge
+    dscores = _segment_softmax_backward(dw, w, counts, nz, starts)
+    if mlp is None:
+        return _cosine_backward(dscores, ei, ej, score_cache), None
+    return _mlp_backward(dscores, ei, ej, score_cache, X, *mlp)
+
+
+def aggregate_weighted(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Cosine-similarity softmax over each node's neighbors."""
+    A = np.asarray(A)
+    return _softmax_forward(A, np.asarray(X), _edge_list(A))[0]
 
 
 def aggregate_attention(A: np.ndarray, X: np.ndarray, w1: np.ndarray,
                         w2: np.ndarray) -> np.ndarray:
     """Learned softmax weights: a 2-layer MLP scores each edge's endpoint pair."""
-    return _attention_forward(np.asarray(A), np.asarray(X), w1, w2)[0]
-
-
-def _attention_backward(dG, cache, X, w1, w2):
-    ei, ej, counts, nz, starts, C, Hpre, H, w = cache
-    dX = np.zeros_like(X)
-    if ei.size == 0:
-        return dX, np.zeros_like(w1), np.zeros_like(w2)
-    dw = dG[ei, ej]
-    inner = np.repeat(np.add.reduceat(dw * w, starts), counts[nz])
-    dscores = w * (dw - inner)
-    dH = dscores[:, None] * w2.ravel()[None, :]
-    dH[Hpre <= 0] = 0.0
-    dw2 = (H.T @ dscores)[:, None]
-    dw1 = C.T @ dH
-    dC = dH @ w1.T
-    d = X.shape[1]
-    np.add.at(dX, ei, dC[:, :d])
-    np.add.at(dX, ej, dC[:, d:])
-    return dX, dw1, dw2
+    A = np.asarray(A)
+    return _softmax_forward(A, np.asarray(X), _edge_list(A), (w1, w2))[0]
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def gconv_forward(X: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One layer: relu([X | G X] W)."""
-    X = np.asarray(X)
-    if W.shape[0] != 2 * X.shape[1]:
-        raise ValueError(f"weight rows {W.shape[0]} != 2*d_in {2 * X.shape[1]}")
-    return np.maximum(np.concatenate([X, G @ X], axis=1) @ W, 0)
+def _mlp(model: GcnModel, layer: int):
+    return model.attention_mlp[layer] if model.aggregator == "attention" else None
 
 
 def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
@@ -219,15 +218,12 @@ def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
     A = np.ascontiguousarray(A, dtype=model.dtype)
     caches = []
     g_mean = aggregate_mean(A, model.mean_row_normalized) if model.aggregator == "mean" else None
-    edges = _edge_list(A) if model.aggregator == "attention" else None
+    edges = _edge_list(A) if model.aggregator != "mean" else None
     for l, W in enumerate(model.layer_weights):
         if model.aggregator == "mean":
             G, agg_cache = g_mean, None
-        elif model.aggregator == "weighted":
-            G, agg_cache = _weighted_forward(A, X)
         else:
-            w1, w2 = model.attention_mlp[l]
-            G, agg_cache = _attention_forward(A, X, w1, w2, edges)
+            G, agg_cache = _softmax_forward(A, X, edges, _mlp(model, l))
         C = np.concatenate([X, G @ X], axis=1)
         Z = C @ W
         Y = np.maximum(Z, 0)
@@ -289,15 +285,11 @@ def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):
         d = X.shape[1]
         dM = dC[:, d:]
         dX = dC[:, :d] + G.T @ dM
-        if model.aggregator == "weighted":
-            dG = dM @ X.T
-            dX += _weighted_backward(dG, agg_cache)
-        elif model.aggregator == "attention":
-            dG = dM @ X.T
-            w1, w2 = model.attention_mlp[l]
-            dx_extra, dw1, dw2 = _attention_backward(dG, agg_cache, X, w1, w2)
+        if model.aggregator != "mean":
+            dx_extra, d_mlp = _softmax_backward(dM, X, agg_cache, _mlp(model, l))
             dX += dx_extra
-            d_attn[l] = (dw1, dw2)
+            if d_mlp is not None:
+                d_attn[l] = d_mlp
 
     grads = d_layers + [d_head_w, d_head_b]
     if d_attn is not None:

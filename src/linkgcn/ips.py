@@ -31,6 +31,17 @@ class IpsConfig:
             raise ValueError("u must be >= 1")
         object.__setattr__(self, "k_per_hop", ks)
 
+    @property
+    def table_k(self) -> int:
+        """Neighbor-table width that discovery and edge wiring read."""
+        return max(max(self.k_per_hop), self.u)
+
+
+def regime_config(k1: int, k2: int, u: int, hops: int) -> IpsConfig:
+    """A (k1, k2, u) regime over `hops` hops: k1 neighbors at hop 1, k2 at
+    every later hop."""
+    return IpsConfig(h=hops, k_per_hop=(k1,) + (k2,) * (hops - 1), u=u)
+
 
 def clamp_config(cfg: IpsConfig, n: int) -> IpsConfig:
     """Clamp per-hop neighbor counts and u to N-1 so large regimes still run

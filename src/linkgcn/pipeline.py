@@ -66,9 +66,7 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     """Full pipeline. Returns (assignment, edges, TimingReport)."""
     t0 = time.perf_counter()
     if nbrs is None:
-        ips_eff = clamp_config(ips_cfg, fs.n)
-        k_table = max(max(ips_eff.k_per_hop), ips_eff.u)
-        nbrs = build_knn(fs, k_table)
+        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
     t1 = time.perf_counter()
     edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
     t2 = time.perf_counter()

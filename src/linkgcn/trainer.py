@@ -9,7 +9,7 @@ import numpy as np
 
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet
-from linkgcn.gcn import GcnModel, init_model, loss_and_grads_arrays, _forward_full, _softmax
+from linkgcn.gcn import GcnModel, init_model, loss_and_grads, loss_and_grads_arrays, _forward_full
 from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_ips, clamp_config
 from linkgcn.knn import NeighborTable, build_knn
 
@@ -29,6 +29,11 @@ class TrainConfig:
     decay_at: tuple = (0.5, 0.75)
     seed: int = 0
     dtype: type = np.float32
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarray:
@@ -82,8 +87,7 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
 
     ips_cfg = clamp_config(cfg.ips, fs.n)
     if nbrs is None:
-        k_table = max(max(ips_cfg.k_per_hop), ips_cfg.u)
-        nbrs = build_knn(fs, k_table)
+        nbrs = build_knn(fs, ips_cfg.table_k)
 
     # subgraphs are static across epochs; build once
     examples = []
@@ -137,11 +141,7 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
     params = model.parameters()
     velocities = [np.zeros_like(p) for p in params]
 
-    labels = np.zeros(ips.size, dtype=np.int64)
-    labels[: ips.hop1_count] = subgraph_labels(ips, fs.labels)
-    mask = np.zeros(ips.size, dtype=bool)
-    mask[: ips.hop1_count] = True
-
+    hop1_labels = subgraph_labels(ips, fs.labels)
     rows = []
     for it in range(steps):
         _, _, caches = _forward_full(model, ips.features, ips.adjacency)
@@ -150,7 +150,6 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
             for node in range(ips.size):
                 rows.append((it, layer, int(ips.nodes[node]), float(Y[node, 0]),
                              float(Y[node, 1])))
-        loss, grads = loss_and_grads_arrays(model, ips.features, ips.adjacency,
-                                            labels, mask)
+        _, grads = loss_and_grads(model, ips, hop1_labels)
         _sgd_step(params, grads, velocities, lr, 0.9)
     return rows

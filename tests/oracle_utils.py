@@ -29,13 +29,36 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
         mask[: n // 2 + 1] = True
         _, _, caches = gcn._forward_full(model, X, A)
         margin = np.inf
-        for _, _, _, Z, agg_cache in caches:
+        ei, ej = np.nonzero(A)
+        for layer, (X_in, _, _, Z, _) in enumerate(caches):
             margin = min(margin, float(np.min(np.abs(Z))))
-            if agg_cache is not None and len(agg_cache) == 9 and agg_cache[6] is not None:
-                margin = min(margin, float(np.min(np.abs(agg_cache[6]))))
+            if model.aggregator == "attention":
+                # the attention MLP's hidden ReLU, recomputed from the layer input
+                w1, _ = model.attention_mlp[layer]
+                hidden = np.concatenate([X_in[ei], X_in[ej]], axis=1) @ w1
+                margin = min(margin, float(np.min(np.abs(hidden))))
         if margin > kink_margin:
             return model, X, A, labels, mask
     raise RuntimeError("could not draw a kink-free instance")
+
+
+def weighted_dense_oracle(A, X):
+    """Reference `weighted` aggregation: the dense s x s cosine matrix with a
+    row softmax over each node's neighbors; isolated nodes get zero rows and
+    zero feature rows get similarity 0."""
+    mask = np.asarray(A) > 0
+    X = np.asarray(X, dtype=np.float64)
+    r = np.linalg.norm(X, axis=1)
+    U = X / np.where(r > 0, r, 1.0)[:, None]
+    S = U @ U.T
+    G = np.zeros_like(S)
+    rows = mask.any(axis=1)
+    if rows.any():
+        neg = np.where(mask[rows], S[rows], -np.inf)
+        e = np.exp(neg - neg.max(axis=1, keepdims=True))
+        e[~mask[rows]] = 0.0
+        G[rows] = e / e.sum(axis=1, keepdims=True)
+    return G
 
 
 def finite_difference_grads(model, X, A, labels, mask, eps=1e-4):

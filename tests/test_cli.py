@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,18 @@ def test_train_rejects_workers(synth_dir, tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+def test_train_rejects_nonpositive_counts(synth_dir, tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "train", "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(synth_dir / "labels.lbls"), flag, "0",
+                       "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
 def test_train_bad_feature_path_returns_one(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--features", str(tmp_path / "nope.fmat"),
                        "--labels", str(tmp_path / "nope.lbls"),
@@ -172,6 +186,25 @@ def test_malformed_inputs_exit_one_line(synth_dir, trained_dir, tmp_path, capsys
     bad_model.write_bytes((trained_dir / "model.gcnm").read_bytes() + b"\0")
     code, _, err = run(capsys, "cluster", "--features", str(synth_dir / "features.fmat"),
                        "--checkpoint", str(bad_model), "--out-dir", str(tmp_path / "c"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oversized_or_padded_inputs_exit_one_line(synth_dir, tmp_path, capsys):
+    huge = tmp_path / "huge.fmat"
+    huge.write_bytes(b"FMAT" + struct.pack("<IQI", 1, 2**40, 4))
+    padded = tmp_path / "padded.fmat"
+    padded.write_bytes((synth_dir / "features.fmat").read_bytes() + bytes(12))
+    for features in (huge, padded):
+        code, _, err = run(capsys, "baseline", "--features", str(features),
+                           "--tau-sim", "0.8", "--out-dir", str(tmp_path / "b"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    huge_labels = tmp_path / "huge.lbls"
+    huge_labels.write_bytes(b"LBLS" + struct.pack("<IQ", 1, 2**60))
+    code, _, err = run(capsys, "upper-bound", "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(huge_labels))
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
 

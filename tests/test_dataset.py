@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,6 @@ def test_fmat_bad_magic(tmp_path):
 
 
 def test_fmat_zero_dims_rejected(tmp_path):
-    import struct
     path = tmp_path / "f.fmat"
     path.write_bytes(b"FMAT" + struct.pack("<IQI", 1, 0, 4))
     with pytest.raises(FormatError, match="N=0"):
@@ -43,6 +44,22 @@ def test_fmat_zero_dims_rejected(tmp_path):
     path.write_bytes(b"FMAT" + struct.pack("<IQI", 1, 4, 0))
     with pytest.raises(FormatError, match="D=0"):
         load_features(path)
+
+
+@pytest.mark.parametrize("fmt, header, match", [
+    ("fmat", b"FMAT" + struct.pack("<IQI", 1, 2**40, 4), "truncated payload"),
+    ("lbls", b"LBLS" + struct.pack("<IQ", 1, 2**60), "truncated payload"),
+    ("fmat", b"FMAT" + struct.pack("<IQI", 1, 2, 2) + bytes(16 + 12), "12 trailing bytes"),
+    ("lbls", b"LBLS" + struct.pack("<IQ", 1, 2) + bytes(16 + 3), "3 trailing bytes"),
+], ids=["fmat-huge-n", "lbls-huge-n", "fmat-trailing", "lbls-trailing"])
+def test_payload_size_checked_against_file(tmp_path, fmt, header, match):
+    # a huge declared N fails on the size check, before any allocation
+    path = tmp_path / f"x.{fmt}"
+    path.write_bytes(header)
+    loader = load_features if fmt == "fmat" else load_labels
+    with pytest.raises(FormatError, match=match) as exc:
+        loader(path)
+    assert "\n" not in str(exc.value)
 
 
 def test_fmat_byte_count_large(tmp_path):

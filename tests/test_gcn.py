@@ -5,10 +5,11 @@ from linkgcn import gcn
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.gcn import (aggregate_attention, aggregate_mean, aggregate_weighted,
-                         gconv_forward, init_model, load_model, save_model)
+                         init_model, load_model, save_model)
 from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_ips
 from linkgcn.knn import build_knn
-from oracle_utils import finite_difference_grads, max_relative_error, random_instance
+from oracle_utils import (finite_difference_grads, max_relative_error, random_instance,
+                          weighted_dense_oracle)
 
 
 def random_graph(rng, n, symmetric=True):
@@ -96,6 +97,21 @@ def test_weighted_softmax_values():
     assert G[0, 2] == pytest.approx(np.exp(s2) / z, abs=1e-9)
 
 
+def test_weighted_matches_dense_reference():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 15))
+        A = random_graph(rng, n)
+        A[rng.integers(0, n)] = 0.0       # at least one isolated node
+        A[:, A.sum(axis=1) == 0] = 0.0
+        X = rng.standard_normal((n, 4))
+        X[rng.random(n) < 0.25] = 0.0     # zero feature rows
+        G = aggregate_weighted(A, X)
+        worst = max(worst, float(np.max(np.abs(G - weighted_dense_oracle(A, X)))))
+    assert worst < 1e-12
+
+
 def test_weighted_zero_feature_row():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -157,33 +173,48 @@ def test_row_stochasticity_many_draws():
 
 
 # ------------------------------------------------------------ layer forward
+# One-layer `mean` models: the layer's output relu([X | G X] W) is the
+# second value _forward_full returns, with G the normalized adjacency.
+
+def one_layer(W):
+    model = init_model([W.shape[0] // 2, W.shape[1]], "mean", seed_stream(0, "init"),
+                       dtype=np.float64)
+    model.layer_weights[0][:] = W
+    return model
+
 
 def test_gconv_isolated_identity_selection():
     X = np.array([[1.0, -2.0], [3.0, -4.0]])
-    G = np.zeros((2, 2))
+    A = np.zeros((2, 2))                  # isolated nodes: G = 0
     W = np.vstack([np.eye(2), np.zeros((2, 2))])
-    np.testing.assert_array_equal(gconv_forward(X, G, W), np.maximum(X, 0))
+    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    np.testing.assert_array_equal(Y, np.maximum(X, 0))
 
 
 def test_gconv_swap_graph_hand_product():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
-    G = np.array([[0.0, 1.0], [1.0, 0.0]])
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])  # degree 1: G = A
     W = np.array([[1.0], [0.0], [0.0], [0.0]])
-    np.testing.assert_array_equal(gconv_forward(X, G, W), [[1.0], [0.0]])
+    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    np.testing.assert_array_equal(Y, [[1.0], [0.0]])
 
 
 def test_gconv_matches_dense_oracle():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((6, 3))
-    G = rng.random((6, 6))
+    A = rng.random((6, 6))
+    A = A + A.T                           # dense, weighted, symmetric
+    deg = A.sum(axis=1)
+    G = np.diag(deg ** -0.5) @ A @ np.diag(deg ** -0.5)
     W = rng.standard_normal((6, 2))
-    expect = np.maximum(np.hstack([X, G @ X]).astype(np.float64) @ W, 0)
-    np.testing.assert_allclose(gconv_forward(X, G, W), expect, atol=1e-5)
+    expect = np.maximum(np.hstack([X, G @ X]) @ W, 0)
+    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    np.testing.assert_allclose(Y, expect, atol=1e-12)
 
 
 def test_gconv_shape_mismatch():
-    with pytest.raises(ValueError, match="weight rows"):
-        gconv_forward(np.ones((2, 3)), np.zeros((2, 2)), np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        gcn._forward_full(one_layer(np.ones((4, 2))), np.ones((2, 3)), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------ full forward

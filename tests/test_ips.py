@@ -3,7 +3,8 @@ import pytest
 
 from linkgcn.dataset import FeatureSet, normalize_rows
 from linkgcn.ips import (InstancePivotSubgraph, IpsConfig, add_edges, build_ips,
-                         clamp_config, discover_nodes, normalize_node_features)
+                         clamp_config, discover_nodes, normalize_node_features,
+                         regime_config)
 from linkgcn.knn import build_knn
 
 
@@ -33,6 +34,23 @@ def test_clamp_config_warns():
     with pytest.warns(UserWarning, match="clamped"):
         out = clamp_config(cfg, 150)
     assert out.k_per_hop == (149, 10) and out.u == 10
+
+
+@pytest.mark.parametrize("hops, k_per_hop", [
+    (1, (80,)), (2, (80, 5)), (3, (80, 5, 5)), (4, (80, 5, 5, 5))])
+def test_regime_config_hops(hops, k_per_hop):
+    cfg = regime_config(80, 5, 7, hops)
+    assert cfg == IpsConfig(h=hops, k_per_hop=k_per_hop, u=7)
+    assert cfg.table_k == 80
+
+
+def test_regime_config_rejects_zero_hops():
+    with pytest.raises(ValueError, match="h must"):
+        regime_config(80, 5, 5, 0)
+
+
+def test_table_k_covers_u():
+    assert IpsConfig(h=2, k_per_hop=(3, 2), u=9).table_k == 9
 
 
 def test_discover_single_hop(small_random_set):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from linkgcn.dataset import FeatureSet, normalize_rows
-from linkgcn.knn import (NeighborTable, build_knn, cosine_similarity,
-                         load_neighbors, save_neighbors)
+from linkgcn.knn import NeighborTable, build_knn
 
 
 def brute_force_oracle(feats, k):
@@ -18,36 +17,6 @@ def brute_force_oracle(feats, k):
         idx[i] = [j for _, j in pairs[:k]]
         sim[i] = [-s for s, _ in pairs[:k]]
     return idx, sim
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-
-def test_cosine_identical():
-    assert cosine_similarity([0.6, 0.8], [0.6, 0.8]) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_cosine_oracle_value():
-    a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
-    expect = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-    assert cosine_similarity(a, b) == pytest.approx(expect, abs=1e-12)
-
-
-def test_cosine_symmetric():
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal(9), rng.standard_normal(9)
-    assert cosine_similarity(a, b) == cosine_similarity(b, a)
-
-
-def test_cosine_zero_vector():
-    with pytest.raises(ValueError, match="zero"):
-        cosine_similarity([0, 0], [1, 1])
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        cosine_similarity([1, 2], [1, 2, 3])
 
 
 def test_build_knn_highest_cosine():
@@ -99,12 +68,3 @@ def test_neighbor_table_validation():
     with pytest.raises(ValueError, match="k="):
         NeighborTable(indices=np.zeros((3, 3), np.int64),
                       similarities=np.zeros((3, 3), np.float32))
-
-
-def test_nbrt_roundtrip(tmp_path, small_random_set):
-    table = build_knn(small_random_set, 6)
-    path = tmp_path / "t.nbrt"
-    save_neighbors(table, path)
-    back = load_neighbors(path)
-    np.testing.assert_array_equal(back.indices, table.indices)
-    np.testing.assert_array_equal(back.similarities, table.similarities)

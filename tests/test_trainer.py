@@ -181,3 +181,9 @@ def test_toy2d_nodes_are_global_ids():
 def test_toy2d_deterministic():
     fs, ips = toy_fs_and_ips()
     assert toy2d_trace(fs, ips, steps=3, seed=4) == toy2d_trace(fs, ips, steps=3, seed=4)
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_train_config_rejects_nonpositive(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        TrainConfig(**{field: 0})
