@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
-from linkgcn.config import make_config, seed_stream
+from linkgcn.config import MERGE_STRATEGIES, make_config, seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.ips import IpsConfig, build_ips, clamp_config, regime_config
 
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, features=True, out_dir=True)
     p.add_argument("--checkpoint", required=True, help="GCNM model file")
     p.add_argument("--workers", type=int, default=None, help="threads scoring pivots")
-    p.add_argument("--merge", choices=("propagate", "bfs"))
+    p.add_argument("--merge", choices=MERGE_STRATEGIES)
     p.add_argument("--tau", type=float)
     p.add_argument("--tau0", type=float)
     p.add_argument("--dtau", type=float)

@@ -20,6 +20,9 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
                                                          zlib.crc32(name.encode())]))
 
 
+MERGE_STRATEGIES = ("propagate", "bfs")
+
+
 @dataclass
 class PipelineConfig:
     # data
@@ -45,7 +48,7 @@ class PipelineConfig:
     momentum: float = 0.9
     lr_decay: float = 0.1
     # merging
-    merge: str = "propagate"  # or "bfs"
+    merge: str = "propagate"  # one of MERGE_STRATEGIES
     tau: float = 0.5          # bfs threshold
     tau0: float = 0.5
     dtau: float = 0.05
@@ -53,6 +56,21 @@ class PipelineConfig:
     # misc
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self):
+        if self.merge not in MERGE_STRATEGIES:
+            raise ValueError(f"merge must be one of {', '.join(MERGE_STRATEGIES)}, "
+                             f"got {self.merge!r}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        if not 0.0 <= self.tau0 < 1.0:
+            raise ValueError(f"tau0 must lie in [0, 1), got {self.tau0}")
+        if not self.dtau > 0.0:
+            raise ValueError(f"dtau must be > 0, got {self.dtau}")
+        for name in ("max_size", "hops", "train_k1", "train_k2", "train_u",
+                     "test_k1", "test_k2", "test_u"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,49 +56,47 @@ def pool_edges(pivots, hop1_nodes, likelihoods) -> WeightedEdgeSet:
     When both directions of a pair were predicted, the larger likelihood
     wins. Output is independent of pivot order.
     """
-    best: dict = {}
-    for pivot, nodes, probs in zip(pivots, hop1_nodes, likelihoods):
-        for q, w in zip(nodes, probs):
-            a, b = (int(pivot), int(q)) if pivot < q else (int(q), int(pivot))
-            key = (a, b)
-            w = float(w)
-            if key not in best or w > best[key]:
-                best[key] = w
-    if not best:
+    hop1_nodes = [np.asarray(q, dtype=np.int64) for q in hop1_nodes]
+    counts = np.array([q.size for q in hop1_nodes], dtype=np.int64)
+    if not counts.sum():
         return WeightedEdgeSet(i=np.empty(0, np.int64), j=np.empty(0, np.int64),
                                w=np.empty(0, np.float64))
-    items = sorted(best.items())
-    ij = np.asarray([k for k, _ in items], dtype=np.int64)
-    return WeightedEdgeSet(i=ij[:, 0], j=ij[:, 1],
-                           w=np.asarray([v for _, v in items], dtype=np.float64))
+    src = np.repeat(np.asarray(pivots, dtype=np.int64), counts)
+    dst = np.concatenate(hop1_nodes)
+    w = np.concatenate([np.asarray(p, dtype=np.float64) for p in likelihoods])
+    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    # pairs ascending, and within a pair the largest likelihood first
+    order = np.lexsort((-w, b, a))
+    a, b, w = a[order], b[order], w[order]
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return WeightedEdgeSet(i=a[first], j=b[first], w=w[first])
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Connected-component labels by BFS, components numbered by smallest member."""
-    adj_start = np.zeros(n + 1, dtype=np.int64)
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
-    order = np.argsort(both_src, kind="stable")
-    both_src = both_src[order]
-    both_dst = both_dst[order]
-    np.add.at(adj_start, both_src + 1, 1)
-    adj_start = np.cumsum(adj_start)
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    queue = deque()
-    for s in range(n):
-        if labels[s] >= 0:
-            continue
-        labels[s] = next_label
-        queue.append(s)
-        while queue:
-            v = queue.popleft()
-            for t in both_dst[adj_start[v]:adj_start[v + 1]]:
-                if labels[t] < 0:
-                    labels[t] = next_label
-                    queue.append(t)
-        next_label += 1
-    return labels
+    """Connected-component labels, components numbered by smallest member.
+
+    Vectorized min-label hooking: each root hooks onto the smallest lower
+    root it shares an edge with, then pointer jumping flattens the forest;
+    this repeats until no edge joins two roots. A root is always its tree's
+    smallest member.
+    """
+    parent = np.arange(n)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    while True:
+        ps, pd = parent[src], parent[dst]
+        cross = ps != pd
+        if not cross.any():
+            break
+        ps, pd = ps[cross], pd[cross]
+        np.minimum.at(parent, np.maximum(ps, pd), np.minimum(ps, pd))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:

@@ -112,6 +112,75 @@ def union_find_components(n, src, dst):
     return out
 
 
+def topk_cosine_oracle(unit, k):
+    """Reference exact top-k: a full lexsort over all N columns of each row,
+    with the same float64 row blocks as `_kernels.topk_cosine`, so the matmul
+    rounds the same way."""
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    n = unit.shape[0]
+    out_idx = np.empty((n, k), dtype=np.int64)
+    out_sim = np.empty((n, k), dtype=np.float64)
+    block = max(1, min(n, (64 << 20) // (8 * n)))
+    ids = np.arange(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        sims = unit[start:stop] @ unit.T
+        for r in range(start, stop):
+            sims[r - start, r] = -np.inf
+        for r in range(stop - start):
+            order = np.lexsort((ids, -sims[r]))[:k]
+            out_idx[start + r] = order
+            out_sim[start + r] = sims[r, order]
+    return out_idx, out_sim
+
+
+def bfs_components(n, src, dst):
+    """Reference connected components: BFS from each unlabelled node in id
+    order, so components are numbered by smallest member."""
+    from collections import deque
+
+    both_src = np.concatenate([src, dst]).astype(np.int64)
+    both_dst = np.concatenate([dst, src]).astype(np.int64)
+    order = np.argsort(both_src, kind="stable")
+    both_src, both_dst = both_src[order], both_dst[order]
+    adj_start = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(adj_start, both_src + 1, 1)
+    adj_start = np.cumsum(adj_start)
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    queue = deque()
+    for s in range(n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = next_label
+        queue.append(s)
+        while queue:
+            v = queue.popleft()
+            for t in both_dst[adj_start[v]:adj_start[v + 1]]:
+                if labels[t] < 0:
+                    labels[t] = next_label
+                    queue.append(t)
+        next_label += 1
+    return labels
+
+
+def pool_edges_oracle(pivots, hop1_nodes, likelihoods):
+    """Reference edge pooling: a dict keyed by canonical pair, keeping the
+    larger likelihood; returns sorted (i, j, w) arrays."""
+    best = {}
+    for pivot, nodes, probs in zip(pivots, hop1_nodes, likelihoods):
+        for q, w in zip(nodes, probs):
+            key = (int(pivot), int(q)) if pivot < q else (int(q), int(pivot))
+            w = float(w)
+            if key not in best or w > best[key]:
+                best[key] = w
+    items = sorted(best.items())
+    i = np.array([a for (a, _), _ in items], dtype=np.int64)
+    j = np.array([b for (_, b), _ in items], dtype=np.int64)
+    w = np.array([v for _, v in items], dtype=np.float64)
+    return i, j, w
+
+
 def propagate_oracle(edges, n, tau0, dtau, max_size):
     """Reference pseudo-label propagation: the original per-component loop,
     with union-find components. Returns (canonical assignment, rounds run)."""

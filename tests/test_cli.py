@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from linkgcn import dataset, merge
+from linkgcn import dataset, merge, pipeline
 from linkgcn.cli import main
 
 
@@ -152,6 +152,26 @@ def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- eval
+
+@pytest.mark.parametrize("config_text, flags", [
+    ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5"))])
+def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_path,
+                                                    capsys, monkeypatch, config_text,
+                                                    flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad config reached the pipeline")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    monkeypatch.setattr(pipeline, "predict_links", no_work)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_text)
+    out = tmp_path / "c"
+    code, _, err = run(capsys, *cluster_args(synth_dir, trained_dir, out,
+                                             ("--config", str(cfg), *flags)))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
 
 def test_eval_table_and_singletons(synth_dir, trained_dir, tmp_path, capsys):
     out = tmp_path / "c"

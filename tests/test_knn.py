@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from linkgcn import _kernels
 from linkgcn.dataset import FeatureSet, normalize_rows
 from linkgcn.knn import NeighborTable, build_knn
+from oracle_utils import topk_cosine_oracle
 
 
 def brute_force_oracle(feats, k):
@@ -68,3 +72,59 @@ def test_neighbor_table_validation():
     with pytest.raises(ValueError, match="k="):
         NeighborTable(indices=np.zeros((3, 3), np.int64),
                       similarities=np.zeros((3, 3), np.float32))
+
+
+def unit_rows(rng, n, d, decimals=None, duplicates=0):
+    X = rng.standard_normal((n, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    X[np.all(X == 0.0, axis=1), 0] = 1.0
+    if duplicates:
+        # exact copies of earlier rows: similarity-1.0 ties
+        X[n - duplicates:] = X[rng.integers(0, n - duplicates, duplicates)]
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, d, decimals, duplicates, k", [
+    (300, 4, 1, 40, 20),     # rounded features: many exact ties at the boundary
+    (300, 4, 1, 40, 1),
+    (300, 4, 1, 40, 299),    # k = N-1: every other row
+    (120, 2, 1, 60, 50),     # 2-D, half duplicates: ties everywhere
+    (2897, 8, 1, 200, 80),   # two row blocks
+    (2897, 16, None, 0, 80),
+])
+def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
+    unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
+    idx, sim = _kernels.topk_cosine(unit, k)
+    want_idx, want_sim = topk_cosine_oracle(unit, k)
+    assert idx.dtype == want_idx.dtype and sim.dtype == want_sim.dtype
+    assert np.array_equal(idx, want_idx)
+    assert sim.tobytes() == want_sim.tobytes()
+
+
+def test_build_knn_matches_lexsort_oracle_on_ties():
+    rng = np.random.default_rng(5)
+    feats = np.round(rng.standard_normal((400, 3)), 1).astype(np.float32)
+    feats[np.all(feats == 0.0, axis=1), 0] = 1.0
+    feats[300:] = feats[:100]
+    table = build_knn(FeatureSet(features=feats), 40)
+    unit = feats.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    want_idx, want_sim = topk_cosine_oracle(unit, 40)
+    assert np.array_equal(table.indices, want_idx)
+    assert table.similarities.tobytes() == want_sim.astype(np.float32).tobytes()
+
+
+def test_topk_cosine_scratch_is_one_block():
+    # a block-wide partition or comparison would allocate a second ~64 MiB block
+    n, k, d = 3000, 80, 16
+    unit = unit_rows(np.random.default_rng(0), n, d)
+    block_bytes = min(n, (64 << 20) // (8 * n)) * n * 8
+    out_bytes = 2 * n * k * 8
+    tracemalloc.start()
+    try:
+        _kernels.topk_cosine(unit, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= block_bytes + out_bytes + (8 << 20), peak / 2**20

@@ -3,11 +3,12 @@ import pytest
 
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.knn import build_knn
-from linkgcn.merge import (WeightedEdgeSet, bfs_cluster, canonical_labels,
+from linkgcn.merge import (WeightedEdgeSet, _components, bfs_cluster, canonical_labels,
                            filter_singletons, load_partition, pool_edges,
                            propagate_cluster, save_edges, save_partition,
                            threshold_baseline)
-from oracle_utils import propagate_oracle, union_find_components
+from oracle_utils import (bfs_components, pool_edges_oracle, propagate_oracle,
+                          union_find_components)
 
 
 def edge_set(triples):
@@ -62,6 +63,36 @@ def test_pool_edges_order_invariant():
     np.testing.assert_array_equal(fwd.i, rev.i)
     np.testing.assert_array_equal(fwd.j, rev.j)
     np.testing.assert_array_equal(fwd.w, rev.w)
+
+
+def assert_pool_matches_oracle(pivots, hop1, probs):
+    edges = pool_edges(pivots, hop1, probs)
+    i, j, w = pool_edges_oracle(pivots, hop1, probs)
+    assert np.array_equal(edges.i, i) and np.array_equal(edges.j, j)
+    assert edges.w.tobytes() == w.tobytes()
+
+
+def test_pool_edges_matches_dict_oracle():
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        n = int(rng.integers(2, 40))
+        pivots = rng.permutation(n)[: rng.integers(1, n + 1)]
+        hop1, probs = [], []
+        for p in pivots:
+            qs = [int(q) for q in rng.integers(0, n, rng.integers(0, 8)) if q != p]
+            hop1.append(qs if trial % 2 else np.asarray(qs, dtype=np.int64))
+            # one decimal: tied likelihoods within a pair and across pairs
+            probs.append(np.round(rng.random(len(qs)), 1).astype(np.float32))
+        assert_pool_matches_oracle(pivots, hop1, probs)
+
+
+def test_pool_edges_both_directions_and_empty_lists():
+    assert_pool_matches_oracle(range(4), [[1, 2], [0], [], [0, 0]],
+                               [[0.25, 0.5], [0.75], [], [0.5, 0.5]])
+    assert_pool_matches_oracle([3, 1, 2], [[1], [3], [1]], [[0.5], [0.5], [0.0]])
+    empty = pool_edges(range(3), [[], [], []], [[], [], []])
+    assert len(empty) == 0 and empty.i.dtype == np.int64 and empty.w.dtype == np.float64
+    assert len(pool_edges([], [], [])) == 0
 
 
 def test_edge_set_validation():
@@ -120,6 +151,50 @@ def test_bfs_cluster_ids_dense_and_by_smallest_member():
     assert out[0] == 0 and out[5] == 0   # cluster containing instance 0
     assert out[1] == 1 and out[2] == 2
     assert out[3] == 3 and out[4] == 3
+
+
+# ------------------------------------------------------------- _components
+
+def assert_components_match_oracles(n, src, dst):
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    out = _components(n, src, dst)
+    assert out.dtype == np.int64 and out.shape == (n,)
+    np.testing.assert_array_equal(out, bfs_components(n, src, dst))
+    np.testing.assert_array_equal(out, union_find_components(n, src, dst))
+
+
+def test_components_random_graphs_match_oracles():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 3 * n))
+        assert_components_match_oracles(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+
+def test_components_degenerate_graphs():
+    assert_components_match_oracles(0, [], [])
+    assert_components_match_oracles(1, [], [])
+    assert_components_match_oracles(1, [0], [0])
+    assert_components_match_oracles(5, [], [])
+    assert_components_match_oracles(5, [2, 3, 3], [2, 3, 4])     # self-loops
+    assert_components_match_oracles(6, [4, 1, 4, 1], [1, 4, 1, 4])  # duplicates
+
+
+def test_components_structured_graphs():
+    n = 2000
+    ids = np.arange(n)
+    zigzag = np.concatenate([ids[::2], ids[1::2][::-1]])
+    for path in (ids, ids[::-1], zigzag):
+        assert_components_match_oracles(n, path[:-1], path[1:])
+    assert_components_match_oracles(n, (ids[1:] - 1) // 2, ids[1:])  # binary tree
+    assert_components_match_oracles(n, ids[1:], np.zeros(n - 1, np.int64))  # star
+
+
+def test_components_long_path_in_random_order():
+    n = 100_000
+    path = np.random.default_rng(10).permutation(n)
+    assert_components_match_oracles(n, path[:-1], path[1:])
 
 
 # ------------------------------------------------------- propagate_cluster
