@@ -1,8 +1,8 @@
-"""Hot numeric kernels: exact cosine top-k and pivot-subgraph edge wiring.
+"""Exact cosine top-k, the kNN stage's hot kernel.
 
-Each kernel has one numpy implementation. Dot products accumulate in
-float64 and similarity ties break by ascending instance id, so results are
-deterministic. The top-k selects by per-row partition, not a full sort.
+Dot products accumulate in float64 and similarity ties break by ascending
+instance id, so results are deterministic. The top-k selects by per-row
+partition, not a full sort.
 """
 
 from __future__ import annotations
@@ -41,19 +41,3 @@ def topk_cosine(unit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             out_sim[start + r] = s[order]
     return out_idx, out_sim
 
-
-def subgraph_adjacency(nodes: np.ndarray, nbr_idx: np.ndarray, u: int) -> np.ndarray:
-    """Symmetric 0/1 adjacency: edge (q, r) when r is among q's top-u global
-    neighbors and both are subgraph nodes. `nodes` must be distinct ids."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    n = nodes.shape[0]
-    adj = np.zeros((n, n), dtype=np.float32)
-    cand = nbr_idx[nodes, :u]
-    sorter = np.argsort(nodes)
-    # position of each candidate among `nodes`; misses are caught by the check below
-    p = sorter[np.minimum(np.searchsorted(nodes, cand, sorter=sorter), n - 1)]
-    q = np.broadcast_to(np.arange(n)[:, None], cand.shape)
-    hit = (nodes[p] == cand) & (p != q)
-    adj[q[hit], p[hit]] = 1.0
-    adj[p[hit], q[hit]] = 1.0
-    return adj

@@ -67,8 +67,15 @@ class PipelineConfig:
             raise ValueError(f"tau0 must lie in [0, 1), got {self.tau0}")
         if not self.dtau > 0.0:
             raise ValueError(f"dtau must be > 0, got {self.dtau}")
+        from linkgcn.gcn import AGGREGATORS  # here: gcn imports dataset, which imports this module
+        if self.aggregator not in AGGREGATORS:
+            raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
+                             f"got {self.aggregator!r}")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(f"hidden_dims must be one or more widths >= 1, "
+                             f"got {self.hidden_dims!r}")
         for name in ("max_size", "hops", "train_k1", "train_k2", "train_u",
-                     "test_k1", "test_k2", "test_u"):
+                     "test_k1", "test_k2", "test_u", "attention_hidden", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -93,21 +93,33 @@ def init_model(dims, aggregator: str, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # aggregation matrices
 
+def mean_mixing(n: int, ei: np.ndarray, ej: np.ndarray, dtype, row_normalized: bool = False,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """Degree-normalized mixing matrix of the n-node graph with edges
+    (ei, ej), each of weight 1 or the given weight a_ij:
+    G[i, j] = a_ij / sqrt(deg_i deg_j), or a_ij / deg_i when row-normalized.
+    Isolated nodes get all-zero rows."""
+    deg = np.bincount(ei, weights, minlength=n).astype(dtype)
+    inv = np.zeros(n, dtype=dtype)
+    has = deg > 0
+    inv[has] = 1.0 / (deg[has] if row_normalized else np.sqrt(deg[has]))
+    a = 1.0 if weights is None else weights
+    G = np.zeros((n, n), dtype=dtype)
+    G[ei, ej] = inv[ei] * a if row_normalized else inv[ei] * a * inv[ej]
+    return G
+
+
 def aggregate_mean(A: np.ndarray, row_normalized: bool = False) -> np.ndarray:
-    """Degree-normalized mixing matrix; isolated nodes get all-zero rows."""
+    """Degree-normalized mixing matrix of a dense adjacency."""
     A = np.asarray(A)
-    deg = A.sum(axis=1)
-    if row_normalized:
-        inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=A.dtype), where=deg > 0)
-        return inv[:, None] * A
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg, dtype=A.dtype),
-                         where=deg > 0)
-    return inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    ei, ej = np.nonzero(A)
+    return mean_mixing(A.shape[0], ei, ej, A.dtype, row_normalized, A[ei, ej])
 
 
-def _edge_list(A: np.ndarray):
-    ei, ej = np.nonzero(A)          # row-major: ei sorted ascending
-    counts = np.bincount(ei, minlength=A.shape[0])
+def _edge_segments(ei: np.ndarray, ej: np.ndarray, n: int):
+    """An edge list sorted row-major, with each node's count of out-edges and
+    where the nonempty rows start."""
+    counts = np.bincount(ei, minlength=n)
     nz = counts > 0
     starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nz]
     return ei, ej, counts, nz, starts
@@ -164,11 +176,11 @@ def _mlp_backward(dscores, ei, ej, cache, X, w1, w2):
     return dX, (C.T @ dH, (H.T @ dscores)[:, None])
 
 
-def _softmax_forward(A, X, edges, mlp=None):
+def _softmax_forward(X, edges, mlp=None):
     """Softmax over each node's neighbors of one score per edge: the cosine of
     its endpoints, or the attention MLP's output when mlp = (w1, w2)."""
     ei, ej, counts, nz, starts = edges
-    G = np.zeros_like(A, dtype=X.dtype)
+    G = np.zeros((X.shape[0], X.shape[0]), dtype=X.dtype)
     if ei.size == 0:
         return G, (edges, None, None)
     if mlp is None:
@@ -195,15 +207,14 @@ def _softmax_backward(dM, X, cache, mlp=None):
 
 def aggregate_weighted(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Cosine-similarity softmax over each node's neighbors."""
-    A = np.asarray(A)
-    return _softmax_forward(A, np.asarray(X), _edge_list(A))[0]
+    return _softmax_forward(np.asarray(X), _edge_segments(*np.nonzero(A), len(A)))[0]
 
 
 def aggregate_attention(A: np.ndarray, X: np.ndarray, w1: np.ndarray,
                         w2: np.ndarray) -> np.ndarray:
     """Learned softmax weights: a 2-layer MLP scores each edge's endpoint pair."""
-    A = np.asarray(A)
-    return _softmax_forward(A, np.asarray(X), _edge_list(A), (w1, w2))[0]
+    return _softmax_forward(np.asarray(X), _edge_segments(*np.nonzero(A), len(A)),
+                            (w1, w2))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +224,27 @@ def _mlp(model: GcnModel, layer: int):
     return model.attention_mlp[layer] if model.aggregator == "attention" else None
 
 
-def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
+def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarray,
+                   weights: np.ndarray | None = None, head_rows: int | None = None):
+    """Every layer and the head over the graph with edges (ei, ej), sorted
+    row-major. The last layer and the head cover only the first head_rows
+    nodes (all of them by default). Returns (logits, last layer's output,
+    per-layer caches)."""
     X = np.ascontiguousarray(X0, dtype=model.dtype)
-    A = np.ascontiguousarray(A, dtype=model.dtype)
+    n = X.shape[0]
+    last = len(model.layer_weights) - 1
+    if model.aggregator == "mean":
+        g_mean = mean_mixing(n, ei, ej, model.dtype, model.mean_row_normalized, weights)
+    else:
+        edges = _edge_segments(ei, ej, n)
     caches = []
-    g_mean = aggregate_mean(A, model.mean_row_normalized) if model.aggregator == "mean" else None
-    edges = _edge_list(A) if model.aggregator != "mean" else None
     for l, W in enumerate(model.layer_weights):
         if model.aggregator == "mean":
             G, agg_cache = g_mean, None
         else:
-            G, agg_cache = _softmax_forward(A, X, edges, _mlp(model, l))
-        C = np.concatenate([X, G @ X], axis=1)
+            G, agg_cache = _softmax_forward(X, edges, _mlp(model, l))
+        r = head_rows if l == last else None
+        C = np.concatenate([X[:r], G[:r] @ X], axis=1)
         Z = C @ W
         Y = np.maximum(Z, 0)
         caches.append((X, G, C, Z, agg_cache))
@@ -233,21 +253,29 @@ def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
     return logits, X, caches
 
 
+def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
+    """_forward_edges over a dense adjacency, whose nonzeros are the edges and
+    their weights."""
+    A = np.asarray(A, dtype=model.dtype)
+    ei, ej = np.nonzero(A != 0)  # a bool mask's nonzeros are found faster than a float's
+    return _forward_edges(model, X0, ei, ej, A[ei, ej])
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(model: GcnModel, ips: InstancePivotSubgraph):
+def forward(model: GcnModel, ips: InstancePivotSubgraph) -> np.ndarray:
     """Linkage likelihood for every 1-hop node of the subgraph.
 
-    Node order is hop-major, so predictions are the first hop1_count rows.
-    Returns (likelihoods, per-layer activations).
+    Node order is hop-major, so the 1-hop nodes are the first hop1_count
+    rows; the last layer and the head run on those rows only.
     """
-    logits, last, caches = _forward_full(model, ips.features, ips.adjacency)
-    probs = _softmax(logits)[:, 1]
-    return probs[: ips.hop1_count], [c[3] for c in caches] + [last]
+    logits, _, _ = _forward_edges(model, ips.features, ips.edges[0], ips.edges[1],
+                                  head_rows=ips.hop1_count)
+    return _softmax(logits)[:, 1]
 
 
 def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):

@@ -1,5 +1,12 @@
 """Instance pivot subgraphs: hop-limited node discovery around a pivot,
-pivot-relative feature normalization, and top-u edge wiring."""
+pivot-relative feature normalization, and top-u edge wiring.
+
+Subgraphs are built a block of pivots at a time. A node of the block is
+keyed by (owner, id) as owner * N + id, where owner is its pivot's position
+in the block, so one sort or lookup serves every pivot of the block. Each
+subgraph keeps its edges as a list; the dense adjacency is built only on
+request.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linkgcn import _kernels
 from linkgcn.dataset import FeatureSet
 from linkgcn.knn import NeighborTable
 
@@ -56,13 +62,20 @@ def clamp_config(cfg: IpsConfig, n: int) -> IpsConfig:
     return cfg
 
 
+# Candidate ids one block of pivots may hold: 64 pivots of the test regime's
+# largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each). Each int64
+# array over a full block's candidates is then about 1.2 MiB.
+BLOCK_CANDIDATES = 64 * (80 + 80 * 5) * 5
+
+
 @dataclass(frozen=True)
 class InstancePivotSubgraph:
     pivot: int
     nodes: np.ndarray       # instance ids, hop-major discovery order, pivot excluded
     hop_of: np.ndarray      # minimum hop at which each node was discovered
     features: np.ndarray    # node features minus the pivot feature (float32)
-    adjacency: np.ndarray   # symmetric 0/1, zero diagonal
+    edges: np.ndarray       # (2, m) node positions: both directions of every edge,
+                            # sorted row-major as np.nonzero gives them, no self loops
 
     @property
     def size(self) -> int:
@@ -70,7 +83,105 @@ class InstancePivotSubgraph:
 
     @property
     def hop1_count(self) -> int:
-        return int(np.sum(self.hop_of == 1))
+        return int(np.count_nonzero(self.hop_of == 1))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric 0/1 float32 adjacency with a zero diagonal."""
+        adj = np.zeros((self.size, self.size), dtype=np.float32)
+        adj[self.edges[0], self.edges[1]] = 1.0
+        return adj
+
+
+def pivot_blocks(n: int, cfg: IpsConfig) -> list:
+    """Pivot id ranges covering 0..n-1, one per block. A block holds as many
+    pivots as keep the candidates of the regime's largest possible subgraphs
+    within BLOCK_CANDIDATES, and at least one."""
+    largest, reach = 0, 1
+    for k in cfg.k_per_hop:
+        reach *= k
+        largest += reach
+    largest = max(1, min(largest, n - 1))
+    width = max((cfg.u,) + cfg.k_per_hop[1:])
+    step = max(1, BLOCK_CANDIDATES // (largest * width))
+    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _discover(pivots: np.ndarray, nbrs: NeighborTable, cfg: IpsConfig):
+    """Subgraph nodes of a block of pivots as (owner, node, hop) arrays,
+    grouped by owner (the pivot's position in `pivots`). Within an owner the
+    order is the one-pivot walk's: hop by hop, each hop taking the frontier's
+    neighbor lists in frontier order and keeping first sightings."""
+    for t, k in enumerate(cfg.k_per_hop, 1):
+        if k > nbrs.k:
+            raise ValueError(f"k_per_hop[{t - 1}]={k} exceeds neighbor table k={nbrs.k}")
+    n = nbrs.indices.shape[0]
+    owner = np.arange(pivots.size)
+    ids = pivots
+    seen = owner * n + ids
+    found = []
+    for t, k in enumerate(cfg.k_per_hop, 1):
+        # owner-major, since the frontier is; each owner's part in walk order
+        cand = nbrs.indices[ids, :k].ravel()
+        cand_owner = np.repeat(owner, k)
+        keys = cand_owner * n + cand
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        first = first[~np.isin(keys[first], seen, assume_unique=True)]
+        owner, ids = cand_owner[first], cand[first]
+        seen = np.concatenate([seen, keys[first]])
+        found.append((owner, ids, np.full(ids.size, t)))
+    owner, ids, hops = (np.concatenate(parts) for parts in zip(*found))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], ids[order], hops[order]
+
+
+def _wire(owner: np.ndarray, nodes: np.ndarray, nbrs: NeighborTable, u: int):
+    """Edges of every subgraph of a block: (q, r) when r is among q's top-u
+    neighbors in the whole collection and both are nodes of the same
+    subgraph; symmetrized. Neighbor lists exclude their own row, so there
+    are no self loops. Returns (rows, cols) positions in `nodes`, both
+    directions of each edge, sorted row-major."""
+    if u > nbrs.k:
+        raise ValueError(f"u={u} exceeds neighbor table k={nbrs.k}")
+    n, total = nbrs.indices.shape[0], nodes.size
+    keys = owner * n + nodes
+    cand = (owner * n)[:, None] + nbrs.indices[nodes, :u]
+    sorter = np.argsort(keys)
+    # position of each candidate among the block's nodes; misses fail the check below
+    p = sorter[np.minimum(np.searchsorted(keys[sorter], cand), total - 1)]
+    hit = keys[p] == cand
+    q, p = np.nonzero(hit)[0], p[hit]
+    pairs = np.sort(np.concatenate([q * total + p, p * total + q]))
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]
+    rows = pairs // total
+    return rows, pairs - rows * total
+
+
+def normalize_node_features(fs: FeatureSet, pivot, nodes: np.ndarray) -> np.ndarray:
+    """Node features re-expressed relative to the pivot: row q is x_q - x_p.
+    `pivot` is one id, or one id per node."""
+    if len(nodes) == 0:
+        raise ValueError("empty node set")
+    return fs.features[nodes] - fs.features[pivot]
+
+
+def build_block(pivots, fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> list:
+    """The subgraphs of a block of distinct pivots, in pivot order: discovery,
+    pivot normalization and edges, each done once for the whole block."""
+    pivots = np.asarray(pivots, dtype=np.int64)
+    owner, nodes, hops = _discover(pivots, nbrs, cfg)
+    feats = normalize_node_features(fs, pivots[owner], nodes)
+    rows, cols = _wire(owner, nodes, nbrs, cfg.u)
+    counts = np.bincount(owner, minlength=pivots.size)
+    start = np.cumsum(counts) - counts
+    edges = np.stack([rows, cols]) - start[owner[rows]]
+    edge_start = np.searchsorted(rows, start).tolist() + [rows.size]
+    return [InstancePivotSubgraph(pivot=pivot, nodes=nodes[a:a + c], hop_of=hops[a:a + c],
+                                  features=feats[a:a + c], edges=edges[:, e0:e1])
+            for pivot, a, c, e0, e1 in zip(pivots.tolist(), start.tolist(), counts.tolist(),
+                                           edge_start[:-1], edge_start[1:])]
 
 
 def discover_nodes(pivot: int, nbrs: NeighborTable, cfg: IpsConfig):
@@ -79,50 +190,22 @@ def discover_nodes(pivot: int, nbrs: NeighborTable, cfg: IpsConfig):
     Hop 1 is the pivot's first k1 neighbors; hop t is the union of the first
     k_t neighbors of every hop-(t-1) node, minus the pivot and anything seen
     earlier. A node reachable at several hops keeps the smallest.
+    Returns (nodes, hops) in discovery order.
     """
-    for t, k in enumerate(cfg.k_per_hop, 1):
-        if k > nbrs.k:
-            raise ValueError(f"k_per_hop[{t - 1}]={k} exceeds neighbor table k={nbrs.k}")
-    seen = {int(pivot)}
-    nodes: list[int] = []
-    hops: list[int] = []
-    frontier = [int(pivot)]
-    for t, k in enumerate(cfg.k_per_hop, 1):
-        nxt = []
-        for q in frontier:
-            for r in nbrs.indices[q, :k]:
-                r = int(r)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-                    nodes.append(r)
-                    hops.append(t)
-        frontier = nxt
-        if not frontier:
-            break
-    return np.asarray(nodes, dtype=np.int64), np.asarray(hops, dtype=np.int64)
-
-
-def normalize_node_features(fs: FeatureSet, pivot: int, nodes: np.ndarray) -> np.ndarray:
-    """Node features re-expressed relative to the pivot: row q is x_q - x_p."""
-    if len(nodes) == 0:
-        raise ValueError("empty node set")
-    return fs.features[nodes] - fs.features[pivot]
+    _, nodes, hops = _discover(np.array([pivot], dtype=np.int64), nbrs, cfg)
+    return nodes, hops
 
 
 def add_edges(nodes: np.ndarray, nbrs: NeighborTable, u: int) -> np.ndarray:
-    """Wire edges: (q, r) when r is among q's top-u neighbors in the whole
-    collection and r is also a subgraph node; symmetrized, zero diagonal."""
-    if u > nbrs.k:
-        raise ValueError(f"u={u} exceeds neighbor table k={nbrs.k}")
-    return _kernels.subgraph_adjacency(nodes, nbrs.indices, u)
+    """Wire edges among distinct `nodes`: (q, r) when r is among q's top-u
+    neighbors in the whole collection and r is also a node; symmetrized.
+    Returns a (2, m) array of node positions, both directions of each edge,
+    sorted row-major."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return np.stack(_wire(np.zeros_like(nodes), nodes, nbrs, u))
 
 
 def build_ips(pivot: int, fs: FeatureSet, nbrs: NeighborTable,
               cfg: IpsConfig) -> InstancePivotSubgraph:
-    """Full subgraph construction: discovery, pivot normalization, edges."""
-    nodes, hop_of = discover_nodes(pivot, nbrs, cfg)
-    feats = normalize_node_features(fs, pivot, nodes)
-    adj = add_edges(nodes, nbrs, cfg.u)
-    return InstancePivotSubgraph(pivot=int(pivot), nodes=nodes, hop_of=hop_of,
-                                 features=feats, adjacency=adj)
+    """Full subgraph construction for one pivot."""
+    return build_block([pivot], fs, nbrs, cfg)[0]

@@ -3,13 +3,14 @@ with per-stage wall-time accounting."""
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
-from linkgcn.ips import IpsConfig, build_ips, clamp_config
+from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
 from linkgcn.knn import NeighborTable, build_knn
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, pool_edges, propagate_cluster
 
@@ -35,27 +36,28 @@ class TimingReport:
 def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 1) -> WeightedEdgeSet:
     """Score pivot/1-hop-neighbor linkage for every instance and pool the
-    results into one undirected edge set. Worker-count invariant."""
+    results into one undirected edge set. Subgraphs are built a block of
+    pivots at a time; up to `workers` threads split the blocks, never more
+    threads than blocks or usable cores. Worker-count invariant."""
     if model.layer_dims[0] != fs.dim:
         raise ValueError(f"model expects D={model.layer_dims[0]}, features have D={fs.dim}")
     ips_cfg = clamp_config(ips_cfg, fs.n)
+    blocks = pivot_blocks(fs.n, ips_cfg)
     hop1 = [None] * fs.n
     probs = [None] * fs.n
 
-    def run_chunk(lo: int, hi: int):
-        for pivot in range(lo, hi):
-            ips = build_ips(pivot, fs, nbrs, ips_cfg)
-            likelihood, _ = forward(model, ips)
-            hop1[pivot] = ips.nodes[: ips.hop1_count]
-            probs[pivot] = likelihood
+    def run_block(pivots):
+        for ips in build_block(pivots, fs, nbrs, ips_cfg):
+            hop1[ips.pivot] = ips.nodes[: ips.hop1_count]
+            probs[ips.pivot] = forward(model, ips)
 
-    if workers <= 1:
-        run_chunk(0, fs.n)
+    threads = min(workers, len(blocks), len(os.sched_getaffinity(0)))
+    if threads <= 1:
+        for pivots in blocks:
+            run_block(pivots)
     else:
-        chunk = (fs.n + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, fs.n)) for lo in range(0, fs.n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_block, blocks))
     return pool_edges(range(fs.n), hop1, probs)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, init_model, loss_and_grads, loss_and_grads_arrays, _forward_full
-from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_ips, clamp_config
+from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, clamp_config, pivot_blocks
 from linkgcn.knn import NeighborTable, build_knn
 
 
@@ -91,12 +91,12 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
 
     # subgraphs are static across epochs; build once
     examples = []
-    for pivot in range(fs.n):
-        ips = build_ips(pivot, fs, nbrs, ips_cfg)
-        if ips.hop1_count == 0:
-            continue
-        examples.append((ips.features.astype(cfg.dtype), ips.adjacency,
-                         subgraph_labels(ips, fs.labels), ips.hop1_count))
+    for pivots in pivot_blocks(fs.n, ips_cfg):
+        for ips in build_block(pivots, fs, nbrs, ips_cfg):
+            if ips.hop1_count == 0:
+                continue
+            examples.append((ips.features.astype(cfg.dtype), ips.adjacency,
+                             subgraph_labels(ips, fs.labels), ips.hop1_count))
 
     rng_init = seed_stream(cfg.seed, "init")
     model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, rng_init,

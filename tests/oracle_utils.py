@@ -61,6 +61,58 @@ def weighted_dense_oracle(A, X):
     return G
 
 
+def dense_mean_oracle(A, row_normalized=False):
+    """Reference `mean` mixing matrix: the dense degree-normalized formula,
+    in A's dtype, with all-zero rows for isolated nodes."""
+    A = np.asarray(A)
+    deg = A.sum(axis=1)
+    if row_normalized:
+        inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=A.dtype), where=deg > 0)
+        return inv[:, None] * A
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg, dtype=A.dtype),
+                         where=deg > 0)
+    return inv_sqrt[:, None] * A * inv_sqrt[None, :]
+
+
+def discover_nodes_loop(pivot, nbr_idx, k_per_hop):
+    """Reference node discovery: the one-pivot walk over a visited set.
+    Returns (nodes, hops) in discovery order."""
+    seen = {int(pivot)}
+    nodes, hops = [], []
+    frontier = [int(pivot)]
+    for t, k in enumerate(k_per_hop, 1):
+        nxt = []
+        for q in frontier:
+            for r in nbr_idx[q, :k]:
+                r = int(r)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+                    nodes.append(r)
+                    hops.append(t)
+        frontier = nxt
+        if not frontier:
+            break
+    return np.asarray(nodes, dtype=np.int64), np.asarray(hops, dtype=np.int64)
+
+
+def subgraph_adjacency_oracle(nodes, nbr_idx, u):
+    """Reference edge wiring for one subgraph: symmetric 0/1 float32
+    adjacency with (q, r) when r is among q's top-u global neighbors and
+    both are nodes."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    n = nodes.shape[0]
+    adj = np.zeros((n, n), dtype=np.float32)
+    cand = nbr_idx[nodes, :u]
+    sorter = np.argsort(nodes)
+    p = sorter[np.minimum(np.searchsorted(nodes, cand, sorter=sorter), n - 1)]
+    q = np.broadcast_to(np.arange(n)[:, None], cand.shape)
+    hit = (nodes[p] == cand) & (p != q)
+    adj[q[hit], p[hit]] = 1.0
+    adj[p[hit], q[hit]] = 1.0
+    return adj
+
+
 def finite_difference_grads(model, X, A, labels, mask, eps=1e-4):
     """Central-difference gradient of the loss for every parameter."""
     out = []

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from linkgcn import dataset, merge, pipeline
+from linkgcn import dataset, merge, pipeline, trainer
 from linkgcn.cli import main
 
 
@@ -90,6 +90,24 @@ def test_train_rejects_workers(synth_dir, tmp_path, capsys):
               "--out-dir", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text", ["aggregator=foo\n", "hidden_dims=\n"])
+def test_train_bad_model_config_fails_before_knn(synth_dir, tmp_path, capsys, monkeypatch,
+                                                 config_text):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad config reached training")
+
+    monkeypatch.setattr(trainer, "build_knn", no_work)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config_text)
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "train", "--config", str(cfg),
+                       "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(synth_dir / "labels.lbls"), "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])

@@ -33,7 +33,8 @@ def test_config_precedence(tmp_path):
     ("merge", "bfss"), ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")),
     ("tau0", -0.1), ("tau0", 1.0), ("dtau", 0.0), ("dtau", -0.05),
     ("max_size", 0), ("hops", 0), ("train_k1", 0), ("train_k2", 0), ("train_u", 0),
-    ("test_k1", 0), ("test_k2", 0), ("test_u", -1)])
+    ("test_k1", 0), ("test_k2", 0), ("test_u", -1), ("aggregator", "foo"),
+    ("hidden_dims", ()), ("hidden_dims", (64, 0)), ("attention_hidden", 0), ("workers", 0)])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ValueError, match=f"^{field} ") as exc:
         PipelineConfig(**{field: value})
@@ -42,7 +43,8 @@ def test_config_rejects_bad_value(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("merge", "bfs"), ("tau", 0.0), ("tau", 1.0), ("tau0", 0.0), ("tau0", 0.95),
-    ("dtau", 1e-3), ("max_size", 1), ("hops", 1), ("test_k1", 1), ("workers", 0)])
+    ("dtau", 1e-3), ("max_size", 1), ("hops", 1), ("test_k1", 1), ("workers", 1),
+    ("aggregator", "attention"), ("hidden_dims", (1,)), ("attention_hidden", 1)])
 def test_config_accepts_edge_values(field, value):
     assert getattr(PipelineConfig(**{field: value}), field) == value
 

@@ -8,8 +8,8 @@ from linkgcn.gcn import (aggregate_attention, aggregate_mean, aggregate_weighted
                          init_model, load_model, save_model)
 from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_ips
 from linkgcn.knn import build_knn
-from oracle_utils import (finite_difference_grads, max_relative_error, random_instance,
-                          weighted_dense_oracle)
+from oracle_utils import (dense_mean_oracle, finite_difference_grads, max_relative_error,
+                          random_instance, weighted_dense_oracle)
 
 
 def random_graph(rng, n, symmetric=True):
@@ -62,6 +62,20 @@ def test_mean_row_normalized_variant():
     G = aggregate_mean(A, row_normalized=True)
     np.testing.assert_allclose(G.sum(axis=1), [1.0, 1.0, 1.0])
     assert G[1, 0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("row_normalized", [False, True])
+def test_mean_bitwise_equals_dense_formula(dtype, row_normalized):
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        A = random_graph(rng, n).astype(dtype)
+        A[rng.integers(0, n)] = 0.0       # an isolated node
+        A[:, A.sum(axis=1) == 0] = 0.0
+        G = aggregate_mean(A, row_normalized)
+        expect = dense_mean_oracle(A, row_normalized)
+        assert G.dtype == expect.dtype and G.tobytes() == expect.tobytes()
 
 
 # ----------------------------------------------------------------- weighted
@@ -231,7 +245,7 @@ def test_forward_zero_weight_model(small_random_set):
         W[:] = 0.0
     model.head_weight[:] = 0.0
     model.head_bias[:] = [0.3, -0.2]
-    probs, _ = gcn.forward(model, ips)
+    probs = gcn.forward(model, ips)
     expect = np.exp(-0.2) / (np.exp(0.3) + np.exp(-0.2))
     np.testing.assert_allclose(probs, expect, atol=1e-12)
 
@@ -240,7 +254,7 @@ def test_forward_single_node_ips(small_random_set):
     nbrs = build_knn(small_random_set, 2)
     ips = build_ips(0, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(1,), u=1))
     model = init_model([8, 4, 4, 4, 4], "mean", seed_stream(1, "init"))
-    probs, _ = gcn.forward(model, ips)
+    probs = gcn.forward(model, ips)
     assert probs.shape == (1,)
     assert 0.0 <= probs[0] <= 1.0
 
@@ -248,9 +262,28 @@ def test_forward_single_node_ips(small_random_set):
 def test_forward_deterministic(small_random_set):
     ips = make_ips(small_random_set)
     model = init_model([8, 4, 4, 4, 4], "weighted", seed_stream(2, "init"))
-    a, _ = gcn.forward(model, ips)
-    b, _ = gcn.forward(model, ips)
+    a = gcn.forward(model, ips)
+    b = gcn.forward(model, ips)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("aggregator, row_normalized", [
+    ("mean", False), ("mean", True), ("weighted", False), ("attention", False)])
+def test_forward_matches_dense_full_forward(synth_1k_set, synth_1k_nbrs, aggregator,
+                                            row_normalized):
+    # forward runs on the edge list and its last layer on hop-1 rows only
+    model = init_model([16, 32, 32, 16, 8], aggregator, seed_stream(7, "init"),
+                       attention_hidden=8, mean_row_normalized=row_normalized)
+    cfg = IpsConfig(h=2, k_per_hop=(80, 5), u=5)
+    worst = 0.0
+    for pivot in (0, 333, 999):
+        ips = build_ips(pivot, synth_1k_set, synth_1k_nbrs, cfg)
+        logits, _, _ = gcn._forward_full(model, ips.features, ips.adjacency)
+        expect = gcn._softmax(logits)[: ips.hop1_count, 1]
+        probs = gcn.forward(model, ips)
+        assert probs.shape == expect.shape
+        worst = max(worst, float(np.max(np.abs(probs - expect))))
+    assert worst < 1e-6
 
 
 def test_forward_probs_sum_to_one(small_random_set):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from linkgcn.dataset import FeatureSet, normalize_rows
-from linkgcn.ips import (InstancePivotSubgraph, IpsConfig, add_edges, build_ips,
+from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
+from linkgcn.ips import (InstancePivotSubgraph, IpsConfig, add_edges, build_block, build_ips,
                          clamp_config, discover_nodes, normalize_node_features,
-                         regime_config)
+                         pivot_blocks, regime_config)
 from linkgcn.knn import build_knn
+from oracle_utils import discover_nodes_loop, subgraph_adjacency_oracle
 
 
 def sorted_neighbor_oracle(feats):
@@ -18,6 +19,13 @@ def sorted_neighbor_oracle(feats):
         out.append([j for _, j in sorted(((-float(X[i] @ X[j]), j)
                                           for j in range(n) if j != i))])
     return out
+
+
+def dense(edges, n):
+    """The 0/1 adjacency of an edge array from add_edges."""
+    adj = np.zeros((n, n))
+    adj[edges[0], edges[1]] = 1.0
+    return adj
 
 
 def test_config_validation():
@@ -127,10 +135,10 @@ def test_add_edges_symmetrizes_one_direction():
     fs = normalize_rows(FeatureSet(features=feats))
     nbrs = build_knn(fs, 2)
     # nodes {0, 2}: 0's 1-NN is 1 (outside), 2's 1-NN is 1 (outside)
-    adj = add_edges(np.array([0, 2]), nbrs, 1)
+    adj = dense(add_edges(np.array([0, 2]), nbrs, 1), 2)
     np.testing.assert_array_equal(adj, np.zeros((2, 2)))
     # nodes {1, 2}: 2's 1-NN is 1 -> symmetric edge even though 1's 1-NN is 0
-    adj = add_edges(np.array([1, 2]), nbrs, 1)
+    adj = dense(add_edges(np.array([1, 2]), nbrs, 1), 2)
     np.testing.assert_array_equal(adj, [[0, 1], [1, 0]])
 
 
@@ -147,7 +155,7 @@ def test_add_edges_rank_oracle():
         for pivot in (0, 131):
             cases.append((discover_nodes(pivot, nbrs, cfg)[0], cfg.u))
     for nodes, u in cases:
-        adj = add_edges(nodes, nbrs, u)
+        adj = dense(add_edges(nodes, nbrs, u), len(nodes))
         node_set = set(int(v) for v in nodes)
         expect = np.zeros((len(nodes), len(nodes)))
         pos = {int(v): i for i, v in enumerate(nodes)}
@@ -207,3 +215,53 @@ def test_build_ips_min_hop_recorded(synth_1k_set, synth_1k_nbrs):
     np.testing.assert_array_equal(hop1_nodes, synth_1k_nbrs.indices[5, :20])
     # nothing tagged hop 2 may sit in the pivot's top-k1 list
     assert not set(ips.nodes[ips.hop_of == 2]) & set(synth_1k_nbrs.indices[5, :20].tolist())
+
+
+# ------------------------------------------- blocks against the loop oracles
+
+def assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg):
+    """Each subgraph equals the one-pivot loop's nodes and hops and the
+    per-subgraph kernel's adjacency, exactly."""
+    assert [ips.pivot for ips in subgraphs] == list(pivots)
+    for pivot, ips in zip(pivots, subgraphs):
+        nodes, hops = discover_nodes_loop(pivot, nbrs.indices, cfg.k_per_hop)
+        np.testing.assert_array_equal(ips.nodes, nodes)
+        np.testing.assert_array_equal(ips.hop_of, hops)
+        expect = subgraph_adjacency_oracle(nodes, nbrs.indices, cfg.u)
+        assert ips.adjacency.dtype == expect.dtype
+        assert ips.adjacency.tobytes() == expect.tobytes()
+        np.testing.assert_array_equal(ips.edges, np.nonzero(expect))  # row-major
+        assert ips.features.tobytes() == (fs.features[nodes] - fs.features[pivot]).tobytes()
+
+
+@pytest.mark.parametrize("k_per_hop", [(80,), (80, 5), (80, 5, 5)])
+def test_blocks_match_loop_oracles(synth_1k_set, synth_1k_nbrs, k_per_hop):
+    cfg = IpsConfig(h=len(k_per_hop), k_per_hop=k_per_hop, u=5)
+    blocks = pivot_blocks(synth_1k_set.n, cfg)
+    assert [p for b in blocks for p in b] == list(range(synth_1k_set.n))
+    assert 0 < len(blocks[-1]) < len(blocks[0])     # a partial last block
+    for pivots in blocks:
+        assert_match_oracles(build_block(pivots, synth_1k_set, synth_1k_nbrs, cfg),
+                             pivots, synth_1k_set, synth_1k_nbrs, cfg)
+
+
+def test_blocks_match_loop_oracles_train_regime():
+    spec = SynthSpec(num_identities=6, samples_per_identity=(40, 40), dim=16,
+                     center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
+    fs = normalize_rows(synth_generate(spec))
+    nbrs = build_knn(fs, 200)
+    cfg = IpsConfig(h=2, k_per_hop=(200, 10), u=10)
+    blocks = pivot_blocks(fs.n, cfg)
+    assert 0 < len(blocks[-1]) < len(blocks[0])
+    for pivots in blocks:
+        assert_match_oracles(build_block(pivots, fs, nbrs, cfg), pivots, fs, nbrs, cfg)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_block_of_any_pivots_matches_loop_oracles(synth_1k_set, synth_1k_nbrs, size):
+    cfg = IpsConfig(h=2, k_per_hop=(80, 5), u=5)
+    pivots = np.random.default_rng(size).permutation(synth_1k_set.n)[:71].tolist()
+    for lo in range(0, len(pivots), size):
+        chunk = pivots[lo:lo + size]
+        assert_match_oracles(build_block(chunk, synth_1k_set, synth_1k_nbrs, cfg),
+                             chunk, synth_1k_set, synth_1k_nbrs, cfg)
