@@ -278,44 +278,45 @@ def forward(model: GcnModel, ips: InstancePivotSubgraph) -> np.ndarray:
     return _softmax(logits)[:, 1]
 
 
-def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):
-    """Mean cross-entropy over masked nodes plus gradients for every parameter.
-
-    Gradient arrays come back in the order of model.parameters().
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    loss_mask = np.asarray(loss_mask, dtype=bool)
-    n_loss = int(loss_mask.sum())
-    if n_loss == 0:
-        raise ValueError("no nodes carry loss (empty 1-hop set)")
-    logits, last, caches = _forward_full(model, X0, A)
+def _cross_entropy(logits, labels, denom):
+    """Cross-entropy of each row of logits against its 0/1 label, summed and
+    divided by denom, and its gradient with respect to the logits."""
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -float(np.mean(logp[loss_mask, labels[loss_mask]]))
+    rows = np.arange(labels.size)
+    loss = -float(np.sum(logp[rows, labels])) / denom
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= denom
+    return loss, dlogits
 
-    probs = np.exp(logp)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(labels)), np.clip(labels, 0, 1)] -= 1.0
-    dlogits[~loss_mask] = 0.0
-    dlogits /= n_loss
 
+def _backward(model: GcnModel, caches, last, dlogits) -> list:
+    """Gradients of every parameter, in the order of model.parameters(), from
+    the gradient of the logits. A last layer that ran on its first r rows
+    reaches the other rows through their neighbor mixing only."""
     d_head_w = last.T @ dlogits
     d_head_b = dlogits.sum(axis=0)
-    dX = dlogits @ model.head_weight.T
+    dY = dlogits @ model.head_weight.T
 
     d_layers = [None] * len(model.layer_weights)
     d_attn = ([None] * len(model.layer_weights)) if model.attention_mlp is not None else None
     for l in range(len(model.layer_weights) - 1, -1, -1):
         X, G, C, Z, agg_cache = caches[l]
-        dZ = dX * (Z > 0)
+        dZ = dY * (Z > 0)
         d_layers[l] = C.T @ dZ
+        if l == 0 and model.attention_mlp is None:
+            break  # only the attention MLP needs gradient below the first layer
+        r, d = Z.shape[0], X.shape[1]
         dC = dZ @ model.layer_weights[l].T
-        d = X.shape[1]
         dM = dC[:, d:]
-        dX = dC[:, :d] + G.T @ dM
+        dY = G[:r].T @ dM
+        dY[:r] += dC[:, :d]
         if model.aggregator != "mean":
+            if r < X.shape[0]:
+                dM = np.concatenate([dM, np.zeros((X.shape[0] - r, d), dM.dtype)])
             dx_extra, d_mlp = _softmax_backward(dM, X, agg_cache, _mlp(model, l))
-            dX += dx_extra
+            dY += dx_extra
             if d_mlp is not None:
                 d_attn[l] = d_mlp
 
@@ -323,7 +324,42 @@ def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):
     if d_attn is not None:
         for dw1, dw2 in d_attn:
             grads += [dw1, dw2]
-    return loss, grads
+    return grads
+
+
+def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):
+    """Mean cross-entropy over masked nodes plus gradients for every parameter,
+    on a dense adjacency.
+
+    Gradient arrays come back in the order of model.parameters().
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    loss_mask = np.asarray(loss_mask, dtype=bool)
+    rows = np.flatnonzero(loss_mask)
+    if rows.size == 0:
+        raise ValueError("no nodes carry loss (empty 1-hop set)")
+    logits, last, caches = _forward_full(model, X0, A)
+    loss, d_rows = _cross_entropy(logits[rows], labels[rows], rows.size)
+    dlogits = np.zeros_like(logits)
+    dlogits[rows] = d_rows
+    return loss, _backward(model, caches, last, dlogits)
+
+
+def loss_and_grads_edges(model: GcnModel, X0, edges, hop1_labels, denom=None):
+    """Cross-entropy over the first len(hop1_labels) nodes of the graph with
+    the (2, m) edge list `edges`, sorted row-major, plus gradients for every
+    parameter. The loss is summed and divided by denom, by default the
+    number of those nodes; a batch of subgraphs that all divide by the
+    batch's total gets the batch mean by summing. The last layer and the
+    head run on those nodes' rows only.
+    """
+    labels = np.asarray(hop1_labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("no nodes carry loss (empty 1-hop set)")
+    logits, last, caches = _forward_edges(model, X0, edges[0], edges[1],
+                                          head_rows=labels.size)
+    loss, dlogits = _cross_entropy(logits, labels, labels.size if denom is None else denom)
+    return loss, _backward(model, caches, last, dlogits)
 
 
 def loss_and_grads(model: GcnModel, ips: InstancePivotSubgraph, hop1_labels):
@@ -332,11 +368,7 @@ def loss_and_grads(model: GcnModel, ips: InstancePivotSubgraph, hop1_labels):
     hop1_labels = np.asarray(hop1_labels, dtype=np.int64)
     if hop1_labels.shape != (n1,):
         raise ValueError(f"expected {n1} labels for 1-hop nodes, got {hop1_labels.shape}")
-    labels = np.zeros(ips.size, dtype=np.int64)
-    labels[:n1] = hop1_labels
-    mask = np.zeros(ips.size, dtype=bool)
-    mask[:n1] = True
-    return loss_and_grads_arrays(model, ips.features, ips.adjacency, labels, mask)
+    return loss_and_grads_edges(model, ips.features, ips.edges, hop1_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ class WeightedEdgeSet:
             raise ValueError("edges must be canonical with i < j")
         if w.size and (w.min() < 0.0 or w.max() > 1.0):
             raise ValueError("edge weights must lie in [0, 1]")
-        keys = i * (j.max() + 1 if j.size else 1) + j
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(i * (j.max() + 1 if j.size else 1) + j)
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge")
         for arr in (i, j, w):
             arr.setflags(write=False)

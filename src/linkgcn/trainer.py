@@ -1,16 +1,19 @@
-"""Training loop: per-pivot subgraph examples, block-diagonal mini-batches,
-SGD with momentum, and the 2-D embedding trace used for visualization."""
+"""Training loop: per-pivot subgraph examples held as edge lists, mini-batches
+scored one subgraph at a time, SGD with momentum, and the 2-D embedding
+trace used for visualization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet
-from linkgcn.gcn import GcnModel, init_model, loss_and_grads, loss_and_grads_arrays, _forward_full
-from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, clamp_config, pivot_blocks
+from linkgcn.gcn import GcnModel, init_model, loss_and_grads, loss_and_grads_edges, _forward_edges
+from linkgcn.ips import (IpsConfig, InstancePivotSubgraph, build_block, clamp_config,
+                         normalize_node_features, pivot_blocks)
 from linkgcn.knn import NeighborTable, build_knn
 
 
@@ -46,25 +49,38 @@ def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarra
     return (labels[ips.nodes[:n1]] == pivot_label).astype(np.int64)
 
 
-def block_diagonal_batch(examples):
-    """Stack (features, adjacency, labels, hop1_count) tuples into one graph
-    with no cross-subgraph edges."""
-    sizes = [ex[0].shape[0] for ex in examples]
-    total = sum(sizes)
-    d = examples[0][0].shape[1]
-    X = np.zeros((total, d), dtype=examples[0][0].dtype)
-    A = np.zeros((total, total), dtype=np.float32)
-    labels = np.zeros(total, dtype=np.int64)
-    mask = np.zeros(total, dtype=bool)
-    offset = 0
-    for feats, adj, labs, n1 in examples:
-        n = feats.shape[0]
-        X[offset:offset + n] = feats
-        A[offset:offset + n, offset:offset + n] = adj
-        labels[offset:offset + n1] = labs
-        mask[offset:offset + n1] = True
-        offset += n
-    return X, A, labels, mask
+class Example(NamedTuple):
+    """One pivot's subgraph as training needs it. Features are not kept:
+    they are gathered again, relative to the pivot, at each step."""
+    pivot: int
+    nodes: np.ndarray    # instance ids, hop-major, the hop-1 nodes first
+    edges: np.ndarray    # (2, m) int32 node positions, sorted row-major
+    labels: np.ndarray   # 0/1 for each hop-1 node
+
+
+def build_examples(fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> list:
+    """An Example for every pivot with at least one hop-1 node, in pivot order."""
+    return [Example(ips.pivot, ips.nodes, ips.edges.astype(np.int32),
+                    subgraph_labels(ips, fs.labels))
+            for pivots in pivot_blocks(fs.n, cfg)
+            for ips in build_block(pivots, fs, nbrs, cfg) if ips.hop1_count > 0]
+
+
+def batch_loss_and_grads(model: GcnModel, fs: FeatureSet, batch) -> tuple:
+    """Mean cross-entropy over the hop-1 nodes of a batch of Examples and its
+    gradients, taken one subgraph at a time on its edge list."""
+    total = sum(ex.labels.size for ex in batch)
+    loss, grads = 0.0, None
+    for ex in batch:
+        X = normalize_node_features(fs, ex.pivot, ex.nodes)
+        part, part_grads = loss_and_grads_edges(model, X, ex.edges, ex.labels, total)
+        loss += part
+        if grads is None:
+            grads = part_grads
+        else:
+            for g, dg in zip(grads, part_grads):
+                g += dg
+    return loss, grads
 
 
 def _sgd_step(params, grads, velocities, lr, momentum):
@@ -90,13 +106,7 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
         nbrs = build_knn(fs, ips_cfg.table_k)
 
     # subgraphs are static across epochs; build once
-    examples = []
-    for pivots in pivot_blocks(fs.n, ips_cfg):
-        for ips in build_block(pivots, fs, nbrs, ips_cfg):
-            if ips.hop1_count == 0:
-                continue
-            examples.append((ips.features.astype(cfg.dtype), ips.adjacency,
-                             subgraph_labels(ips, fs.labels), ips.hop1_count))
+    examples = build_examples(fs, nbrs, ips_cfg)
 
     rng_init = seed_stream(cfg.seed, "init")
     model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, rng_init,
@@ -116,8 +126,7 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            X, A, labels, mask = block_diagonal_batch(batch)
-            loss, grads = loss_and_grads_arrays(model, X, A, labels, mask)
+            loss, grads = batch_loss_and_grads(model, fs, batch)
             _sgd_step(params, grads, velocities, lr, cfg.momentum)
             losses.append(loss)
         curve.append(float(np.mean(losses)))
@@ -144,7 +153,7 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
     hop1_labels = subgraph_labels(ips, fs.labels)
     rows = []
     for it in range(steps):
-        _, _, caches = _forward_full(model, ips.features, ips.adjacency)
+        _, _, caches = _forward_edges(model, ips.features, *ips.edges)
         for layer, (_, _, _, Z, _) in enumerate(caches):
             Y = np.maximum(Z, 0)
             for node in range(ips.size):

@@ -1,3 +1,11 @@
+import os
+import pickle
+import resource
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +22,56 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# runs one call inside the child interpreter of run_with_address_limit
+_CAPPED_CHILD = """
+import pickle, resource, sys
+with open(sys.argv[1], "rb") as fh:
+    fn, args = pickle.load(fh)
+try:
+    out = ("ok", fn(*args))
+except Exception as exc:
+    out = ("error", f"{type(exc).__name__}: {exc}")
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(out + (peak,), fh)
+"""
+
+
+class ChildFailed(Exception):
+    """The call in run_with_address_limit's child raised; the message is the
+    child's exception type and message."""
+
+
+def run_with_address_limit(limit_bytes, fn, *args, timeout=120):
+    """Call fn(*args) in a fresh interpreter whose address space is capped at
+    limit_bytes (RLIMIT_AS) from its start, so an overshoot raises
+    MemoryError in the child instead of exhausting the machine. BLAS runs
+    on one thread there. fn must be a module-level function of a module on
+    sys.path, and fn, args and the result must pickle.
+
+    Returns (result, peak RSS in bytes of the child); raises ChildFailed if
+    the call raised.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        io = Path(tmp) / "call.pkl"
+        io.write_bytes(pickle.dumps((fn, args)))
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, str(io)], env=env,
+                              capture_output=True, text=True, timeout=timeout,
+                              preexec_fn=limit)
+        if proc.returncode != 0:
+            raise ChildFailed(f"child exited with {proc.returncode}: {proc.stderr[-2000:]}")
+        status, value, peak = pickle.loads(io.read_bytes())
+    if status == "error":
+        raise ChildFailed(value)
+    return value, peak
 
 
 @pytest.fixture(scope="session")

@@ -113,6 +113,28 @@ def subgraph_adjacency_oracle(nodes, nbr_idx, u):
     return adj
 
 
+def block_diagonal_batch(examples):
+    """Reference training batch: (features, adjacency, labels, hop1_count)
+    tuples stacked into one dense graph with no cross-subgraph edges; the
+    loss mask covers each subgraph's first hop1_count nodes."""
+    sizes = [ex[0].shape[0] for ex in examples]
+    total = sum(sizes)
+    d = examples[0][0].shape[1]
+    X = np.zeros((total, d), dtype=examples[0][0].dtype)
+    A = np.zeros((total, total), dtype=np.float32)
+    labels = np.zeros(total, dtype=np.int64)
+    mask = np.zeros(total, dtype=bool)
+    offset = 0
+    for feats, adj, labs, n1 in examples:
+        n = feats.shape[0]
+        X[offset:offset + n] = feats
+        A[offset:offset + n, offset:offset + n] = adj
+        labels[offset:offset + n1] = labs
+        mask[offset:offset + n1] = True
+        offset += n
+    return X, A, labels, mask
+
+
 def finite_difference_grads(model, X, A, labels, mask, eps=1e-4):
     """Central-difference gradient of the loss for every parameter."""
     out = []

@@ -347,6 +347,28 @@ def test_loss_ignores_higher_hop_labels(small_random_set):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("aggregator, row_normalized", [
+    ("mean", False), ("mean", True), ("weighted", False), ("attention", False)])
+def test_hop1_rows_backward_matches_full_rows(synth_1k_set, synth_1k_nbrs, aggregator,
+                                              row_normalized):
+    # last layer and head on the hop-1 rows only, against every row under a
+    # hop-1 loss mask
+    model = init_model([16, 12, 8, 6], aggregator, seed_stream(8, "init"), attention_hidden=5,
+                       dtype=np.float64, mean_row_normalized=row_normalized)
+    ips = build_ips(333, synth_1k_set, synth_1k_nbrs, IpsConfig(h=2, k_per_hop=(30, 4), u=5))
+    n1 = ips.hop1_count
+    assert ips.size > n1
+    labels = (np.arange(n1) % 3 == 0).astype(np.int64)
+    loss, grads = gcn.loss_and_grads_edges(model, ips.features, ips.edges, labels)
+    full_labels = np.zeros(ips.size, np.int64)
+    full_labels[:n1] = labels
+    loss_ref, grads_ref = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency,
+                                                    full_labels, np.arange(ips.size) < n1)
+    assert loss == pytest.approx(loss_ref, rel=1e-12)
+    for g, ref in zip(grads, grads_ref, strict=True):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10 * float(np.max(np.abs(ref))))
+
+
 @pytest.mark.parametrize("aggregator", gcn.AGGREGATORS)
 def test_gradients_match_finite_differences(aggregator):
     for seed in range(3):

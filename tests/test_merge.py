@@ -104,6 +104,24 @@ def test_edge_set_validation():
         WeightedEdgeSet(i=np.array([0, 0]), j=np.array([1, 1]), w=np.array([0.5, 0.6]))
 
 
+
+def test_edge_set_duplicates_in_unsorted_input():
+    i, j = np.array([3, 0, 2, 1, 0]), np.array([7, 1, 5, 4, 1])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        WeightedEdgeSet(i=i, j=j, w=np.full(5, 0.5))
+    # the same pairs without the repeat are accepted, in their given order
+    edges = WeightedEdgeSet(i=i[:4], j=j[:4], w=np.full(4, 0.5))
+    np.testing.assert_array_equal(edges.i, [3, 0, 2, 1])
+    np.testing.assert_array_equal(edges.j, [7, 1, 5, 4])
+
+
+def test_edge_set_empty():
+    edges = WeightedEdgeSet(i=np.empty(0, np.int64), j=np.empty(0, np.int64),
+                            w=np.empty(0))
+    assert len(edges) == 0
+    assert edges.i.dtype == edges.j.dtype == np.int64 and edges.w.dtype == np.float64
+
+
 # ------------------------------------------------------------ bfs_cluster
 
 def test_bfs_threshold_split():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import conftest
+from linkgcn import gcn
+from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import IpsConfig, build_ips
+from linkgcn.ips import IpsConfig, build_block, build_ips, normalize_node_features
 from linkgcn.knn import build_knn
 from linkgcn.merge import bfs_cluster, pool_edges
 from linkgcn.metrics import evaluate
 from linkgcn.pipeline import predict_links
-from linkgcn.trainer import (TrainConfig, block_diagonal_batch, subgraph_labels,
-                             toy2d_trace, train)
+from linkgcn.trainer import (TrainConfig, _sgd_step, batch_loss_and_grads, build_examples,
+                             subgraph_labels, toy2d_trace, train)
+from oracle_utils import block_diagonal_batch
 
 SMALL = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
                     ips=IpsConfig(h=2, k_per_hop=(20, 3), u=3))
@@ -45,32 +49,91 @@ def test_subgraph_labels_distractor_neighbors_negative(easy_two_identity_set):
     assert not subgraph_labels(ips, labels).any()
 
 
-# --------------------------------------------------- block_diagonal_batch
+# ------------------------------------------------------------ examples
 
-def test_block_diagonal_shapes_and_mask():
-    rng = np.random.default_rng(0)
-    ex1 = (rng.standard_normal((3, 4)).astype(np.float32), np.eye(3, dtype=np.float32) * 0,
-           np.array([1, 0]), 2)
-    ex2 = (rng.standard_normal((2, 4)).astype(np.float32), np.zeros((2, 2), np.float32),
-           np.array([1]), 1)
-    X, A, labels, mask = block_diagonal_batch([ex1, ex2])
-    assert X.shape == (5, 4)
-    assert A.shape == (5, 5)
-    np.testing.assert_array_equal(mask, [True, True, False, True, False])
-    np.testing.assert_array_equal(labels[:2], [1, 0])
-    assert labels[3] == 1
+def examples_set():
+    spec = SynthSpec(num_identities=5, samples_per_identity=(12, 12), dim=8,
+                     center_spread=1.0, noise_scale=(0.1, 0.3), seed=3)
+    return normalize_rows(synth_generate(spec))
 
 
-def test_block_diagonal_no_cross_edges():
-    a1 = np.ones((3, 3), np.float32) - np.eye(3, dtype=np.float32)
-    a2 = np.ones((2, 2), np.float32) - np.eye(2, dtype=np.float32)
-    ex1 = (np.zeros((3, 2), np.float32), a1, np.array([0]), 1)
-    ex2 = (np.zeros((2, 2), np.float32), a2, np.array([0]), 1)
-    _, A, _, _ = block_diagonal_batch([ex1, ex2])
-    assert not A[:3, 3:].any()
-    assert not A[3:, :3].any()
-    np.testing.assert_array_equal(A[:3, :3], a1)
-    np.testing.assert_array_equal(A[3:, 3:], a2)
+def test_build_examples_hold_edge_lists_only():
+    fs = examples_set()
+    cfg = IpsConfig(h=2, k_per_hop=(10, 3), u=3)
+    nbrs = build_knn(fs, 10)
+    examples = build_examples(fs, nbrs, cfg)
+    subgraphs = build_block(range(fs.n), fs, nbrs, cfg)
+    assert [ex.pivot for ex in examples] == list(range(fs.n))
+    for ex, ips in zip(examples, subgraphs):
+        np.testing.assert_array_equal(ex.nodes, ips.nodes)
+        np.testing.assert_array_equal(ex.edges, ips.edges)
+        np.testing.assert_array_equal(ex.labels, subgraph_labels(ips, fs.labels))
+        assert ex.edges.dtype == np.int32 and ex.edges.shape == ips.edges.shape
+        assert all(np.ndim(v) <= 1 for v in (ex.pivot, ex.nodes, ex.labels))
+
+
+# ------------------------------------- one step, against the dense batch
+
+def dense_batch(fs, batch, dtype):
+    """The reference batch: the block-diagonal graph of the examples."""
+    parts = []
+    for ex in batch:
+        s = ex.nodes.size
+        adj = np.zeros((s, s), dtype=np.float32)
+        adj[ex.edges[0], ex.edges[1]] = 1.0
+        feats = normalize_node_features(fs, ex.pivot, ex.nodes).astype(dtype)
+        parts.append((feats, adj, ex.labels, ex.labels.size))
+    return block_diagonal_batch(parts)
+
+
+def relative_errors(loss, grads, loss_ref, grads_ref):
+    worst = abs(loss - loss_ref) / abs(loss_ref)
+    for g, ref in zip(grads, grads_ref, strict=True):
+        assert g.shape == ref.shape and g.dtype == ref.dtype
+        scale = float(np.max(np.abs(ref)))
+        worst = max(worst, float(np.max(np.abs(g - ref))) / scale if scale else
+                    float(np.max(np.abs(g))))
+    return worst
+
+
+@pytest.mark.parametrize("aggregator, row_normalized", [
+    ("mean", False), ("mean", True), ("weighted", False), ("attention", False)])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("batch_kind", ["single", "mixed"])
+def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, tol, batch_kind):
+    fs = examples_set()
+    nbrs = build_knn(fs, 10)
+    wide = build_examples(fs, nbrs, IpsConfig(h=2, k_per_hop=(10, 3), u=3))
+    one_hop1 = build_examples(fs, nbrs, IpsConfig(h=2, k_per_hop=(1, 4), u=3))
+    assert all(ex.labels.size == 1 for ex in one_hop1)
+    if batch_kind == "single":
+        batch = [wide[7]]
+    else:  # subgraphs with a single hop-1 node among larger ones
+        batch = [wide[3], one_hop1[5], wide[20], wide[41], one_hop1[59]]
+    model = gcn.init_model([fs.dim, 6, 5, 4], aggregator, seed_stream(5, "init"),
+                           attention_hidden=4, dtype=dtype, mean_row_normalized=row_normalized)
+    loss, grads = batch_loss_and_grads(model, fs, batch)
+    loss_ref, grads_ref = gcn.loss_and_grads_arrays(model, *dense_batch(fs, batch, dtype))
+    assert relative_errors(loss, grads, loss_ref, grads_ref) < tol
+
+
+# ------------------------------------------------------- memory regression
+
+def one_capped_epoch():
+    """One default-regime epoch at N = 1,000 with small subgraph overlap:
+    the mean subgraph has about 650 nodes, so dense s x s adjacencies of
+    every pivot would take about 1.7 GB."""
+    spec = SynthSpec(num_identities=100, samples_per_identity=(10, 10), dim=16,
+                     center_spread=1.0, noise_scale=(0.2, 0.4), seed=11)
+    fs = normalize_rows(synth_generate(spec))
+    cfg = TrainConfig(hidden_dims=(8, 8, 8, 8), epochs=1,
+                      ips=IpsConfig(h=2, k_per_hop=(200, 10), u=10))
+    return train(fs, cfg)[1]
+
+
+def test_one_epoch_fits_in_one_gib():
+    curve, _ = conftest.run_with_address_limit(2**30, one_capped_epoch)
+    assert len(curve) == 1 and np.isfinite(curve[0])
 
 
 # ------------------------------------------------------------------ train
@@ -176,6 +239,29 @@ def test_toy2d_nodes_are_global_ids():
     fs, ips = toy_fs_and_ips()
     rows = toy2d_trace(fs, ips, steps=1)
     assert {r[2] for r in rows} == set(int(v) for v in ips.nodes)
+
+
+def test_toy2d_matches_dense_reference():
+    # the same loop on the dense adjacency, with the last layer on every row
+    fs, ips = toy_fs_and_ips()
+    rows = toy2d_trace(fs, ips, steps=8, seed=2)
+    model = gcn.init_model([2, 2, 2], "mean", seed_stream(2, "init"), dtype=np.float64)
+    params = model.parameters()
+    velocities = [np.zeros_like(p) for p in params]
+    labels = np.zeros(ips.size, np.int64)
+    labels[:ips.hop1_count] = subgraph_labels(ips, fs.labels)
+    mask = np.arange(ips.size) < ips.hop1_count
+    expect = []
+    for it in range(8):
+        _, _, caches = gcn._forward_full(model, ips.features, ips.adjacency)
+        for layer, (_, _, _, Z, _) in enumerate(caches):
+            Y = np.maximum(Z, 0)
+            expect += [(it, layer, int(ips.nodes[q]), Y[q, 0], Y[q, 1]) for q in range(ips.size)]
+        _, grads = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency, labels, mask)
+        _sgd_step(params, grads, velocities, 0.1, 0.9)
+    assert [r[:3] for r in rows] == [r[:3] for r in expect]
+    np.testing.assert_allclose([r[3:] for r in rows], [r[3:] for r in expect],
+                               rtol=0, atol=1e-12)
 
 
 def test_toy2d_deterministic():
