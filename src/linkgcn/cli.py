@@ -153,6 +153,7 @@ def cmd_toy2d(args):
 
 
 def cmd_baseline(args):
+    merge.check_tau_sim(args.tau_sim)
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args), cfg)
     nbrs = pipeline.build_knn(fs, args.k)

@@ -121,7 +121,10 @@ def load_features(path) -> FeatureSet:
             raise FormatError(f"{path}: header declares D=0")
         payload = _read_payload(fh, path, n * d * 4)
     feats = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    return FeatureSet(features=feats, normalized=False)
+    try:
+        return FeatureSet(features=feats, normalized=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_labels(labels: np.ndarray, path) -> None:

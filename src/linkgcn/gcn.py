@@ -409,6 +409,8 @@ def load_model(path) -> GcnModel:
         raise FormatError(f"{path}: unsupported version {version}")
     if agg_tag >= len(AGGREGATORS):
         raise FormatError(f"{path}: unknown aggregator tag {agg_tag}")
+    if row_norm > 1:
+        raise FormatError(f"{path}: row-normalization flag {row_norm}, expected 0 or 1")
     aggregator = AGGREGATORS[agg_tag]
     (n_tensors,) = take("<I", "header")
     expected = n_layers + 2 + (2 * n_layers if aggregator == "attention" else 0)
@@ -418,7 +420,11 @@ def load_model(path) -> GcnModel:
     tensors = []
     for _ in range(n_tensors):
         (rank,) = take("<I", "tensor shape")
+        if rank not in (1, 2):
+            raise FormatError(f"{path}: tensor rank {rank}, expected 1 or 2")
         shape = take(f"<{rank}Q", "tensor shape")
+        if 0 in shape:
+            raise FormatError(f"{path}: empty tensor shape {shape}")
         count = math.prod(shape)
         if pos + 4 * count > len(buf):
             raise FormatError(f"{path}: truncated tensor payload")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +149,16 @@ def filter_singletons(assignment: np.ndarray):
     return mask, float(np.sum(~mask)) / assignment.shape[0]
 
 
+def check_tau_sim(tau_sim: float) -> None:
+    """Raise ValueError unless tau_sim is a cosine similarity, in [-1, 1]."""
+    if not (-1.0 <= tau_sim <= 1.0):
+        raise ValueError(f"tau_sim={tau_sim} outside [-1, 1]")
+
+
 def threshold_baseline(fs: FeatureSet, nbrs: NeighborTable, tau_sim: float) -> np.ndarray:
     """Non-learned comparator: link kNN pairs whose raw cosine similarity
     clears a global threshold, then take components."""
+    check_tau_sim(tau_sim)
     keep = nbrs.similarities.astype(np.float64) >= tau_sim
     src = np.repeat(np.arange(fs.n), nbrs.k)[keep.ravel()]
     dst = nbrs.indices.ravel()[keep.ravel()]
@@ -160,6 +168,10 @@ def threshold_baseline(fs: FeatureSet, nbrs: NeighborTable, tau_sim: float) -> n
 # ---------------------------------------------------------------------------
 # text IO
 
+# an optional minus and at most 18 ASCII digits, so every value fits int64
+_INT64_TOKEN = re.compile(rb"-?[0-9]{1,18}")
+
+
 def save_partition(assignment: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for i, c in enumerate(assignment):
@@ -167,30 +179,30 @@ def save_partition(assignment: np.ndarray, path) -> None:
 
 
 def load_partition(path) -> np.ndarray:
-    """Read `id<TAB>cluster` lines; ids must be exactly 0..N-1 in any order
-    and cluster labels non-negative."""
+    """Read `id<TAB>cluster` lines of ASCII decimal integers; ids must be
+    exactly 0..N-1 in any order, N >= 1, and cluster labels non-negative."""
     ids, clusters = [], []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split("\t")
-            try:
-                a, b = (int(tok) for tok in fields)
-            except ValueError:
+            fields = line.split(b"\t")
+            if len(fields) != 2 or not all(_INT64_TOKEN.fullmatch(tok) for tok in fields):
                 raise FormatError(f"{path}:{lineno}: expected two tab-separated "
-                                  f"integers, got {line[:40]!r}") from None
-            ids.append(a)
-            clusters.append(b)
+                                  f"integers, got {line[:40]!r}")
+            ids.append(int(fields[0]))
+            clusters.append(int(fields[1]))
+    if not ids:
+        raise FormatError(f"{path}: no partition lines")
     ids = np.asarray(ids, dtype=np.int64)
     clusters = np.asarray(clusters, dtype=np.int64)
     n = ids.shape[0]
-    if n and (ids.min() < 0 or ids.max() >= n):
+    if ids.min() < 0 or ids.max() >= n:
         raise FormatError(f"{path}: instance ids must lie in [0, {n - 1}] for {n} lines")
     if np.unique(ids).size != n:
         raise FormatError(f"{path}: duplicate instance id")
-    if n and clusters.min() < 0:
+    if clusters.min() < 0:
         raise FormatError(f"{path}: negative cluster label")
     out = np.empty(n, dtype=np.int64)
     out[ids] = clusters

@@ -33,14 +33,18 @@ class TimingReport:
                 f"total            {self.total_seconds:.3f}")
 
 
+def _check_width(fs: FeatureSet, model: GcnModel) -> None:
+    if model.layer_dims[0] != fs.dim:
+        raise ValueError(f"model expects D={model.layer_dims[0]}, features have D={fs.dim}")
+
+
 def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 1) -> WeightedEdgeSet:
     """Score pivot/1-hop-neighbor linkage for every instance and pool the
     results into one undirected edge set. Subgraphs are built a block of
     pivots at a time; up to `workers` threads split the blocks, never more
     threads than blocks or usable cores. Worker-count invariant."""
-    if model.layer_dims[0] != fs.dim:
-        raise ValueError(f"model expects D={model.layer_dims[0]}, features have D={fs.dim}")
+    _check_width(fs, model)
     ips_cfg = clamp_config(ips_cfg, fs.n)
     blocks = pivot_blocks(fs.n, ips_cfg)
     hop1 = [None] * fs.n
@@ -65,13 +69,21 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
             merge: str = "propagate", tau: float = 0.5, tau0: float = 0.5,
             dtau: float = 0.05, max_size: int = 600, workers: int = 1,
             nbrs: NeighborTable | None = None):
-    """Full pipeline. Returns (assignment, edges, TimingReport)."""
+    """Full pipeline. Returns (assignment, edges, TimingReport).
+
+    A one-instance collection has no neighbor to link: it builds no kNN
+    table, scores no pivot, and merges an empty edge set into one cluster."""
+    _check_width(fs, model)
     t0 = time.perf_counter()
-    if nbrs is None:
-        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
-    t1 = time.perf_counter()
-    edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
-    t2 = time.perf_counter()
+    if fs.n == 1:
+        edges = pool_edges([], [], [])
+        t1 = t2 = time.perf_counter()
+    else:
+        if nbrs is None:
+            nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
+        t1 = time.perf_counter()
+        edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
+        t2 = time.perf_counter()
     if merge == "propagate":
         assignment = propagate_cluster(edges, fs.n, tau0=tau0, dtau=dtau,
                                        max_size=max_size)

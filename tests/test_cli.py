@@ -191,6 +191,29 @@ def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_
     assert not out.exists()
 
 
+def test_cluster_one_instance(synth_dir, trained_dir, tmp_path, capsys):
+    one = tmp_path / "one.fmat"
+    fs = dataset.load_features(synth_dir / "features.fmat")
+    dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one)
+    out = tmp_path / "c"
+    code, stdout, err = run(capsys, "cluster", "--features", str(one),
+                            "--checkpoint", str(trained_dir / "model.gcnm"),
+                            "--out-dir", str(out))
+    assert code == 0, err
+    assert "clusters=1" in stdout
+    assert (out / "partition.tsv").read_text() == "0\t0\n"
+    assert (out / "edges.tsv").read_text() == ""
+
+
+def test_eval_non_ascii_partition_exits_one_line(synth_dir, tmp_path, capsys):
+    bad = tmp_path / "p.tsv"
+    bad.write_bytes(b"0\t0\n1\t\xff\n")
+    code, _, err = run(capsys, "eval", "--partition", str(bad),
+                       "--labels", str(synth_dir / "labels.lbls"))
+    assert code == 1
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1
+
+
 def test_eval_table_and_singletons(synth_dir, trained_dir, tmp_path, capsys):
     out = tmp_path / "c"
     run(capsys, *cluster_args(synth_dir, trained_dir, out))
@@ -282,6 +305,22 @@ def test_baseline_partition(synth_dir, tmp_path, capsys):
                           "--out-dir", str(out))
     assert code == 0
     assert merge.load_partition(out / "baseline_partition.tsv").shape == (40,)
+
+
+@pytest.mark.parametrize("tau_sim", ["nan", "2", "-5"])
+def test_baseline_bad_tau_sim_fails_before_knn(synth_dir, tmp_path, capsys, monkeypatch,
+                                               tau_sim):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad --tau-sim reached the kNN search")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    out = tmp_path / "b"
+    code, _, err = run(capsys, "baseline",
+                       "--features", str(synth_dir / "features.fmat"),
+                       "--k", "10", "--tau-sim", tau_sim, "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error: tau_sim=") and err.count("\n") == 1
+    assert not (out / "baseline_partition.tsv").exists()
 
 
 # ------------------------------------------------------------------- misc

@@ -92,6 +92,7 @@ def unit_rows(rng, n, d, decimals=None, duplicates=0):
     (120, 2, 1, 60, 50),     # 2-D, half duplicates: ties everywhere
     (2897, 8, 1, 200, 80),   # two row blocks
     (2897, 16, None, 0, 80),
+    (4500, 8, 1, 300, 80),   # two full row blocks and a partial one: the block buffer is reused
 ])
 def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
@@ -116,8 +117,9 @@ def test_build_knn_matches_lexsort_oracle_on_ties():
 
 
 def test_topk_cosine_scratch_is_one_block():
-    # a block-wide partition or comparison would allocate a second ~64 MiB block
-    n, k, d = 3000, 80, 16
+    # five row blocks of 1,398 rows: a block-wide partition or comparison, or a
+    # new similarity block per row block, would hold a second ~64 MiB block
+    n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
     block_bytes = min(n, (64 << 20) // (8 * n)) * n * 8
     out_bytes = 2 * n * k * 8

@@ -294,10 +294,17 @@ def test_filter_singletons_never_touches_clusters():
 
 # ------------------------------------------------------- threshold_baseline
 
-def test_baseline_tau_above_one_all_singletons(small_random_set):
+def test_baseline_tau_one_all_singletons(small_random_set):
     nbrs = build_knn(small_random_set, 5)
-    out = threshold_baseline(small_random_set, nbrs, 1.0001)
+    out = threshold_baseline(small_random_set, nbrs, 1.0)
     assert len(np.unique(out)) == small_random_set.n
+
+
+@pytest.mark.parametrize("tau_sim", [float("nan"), 1.0001, 2.0, -1.0001, -5.0])
+def test_baseline_rejects_tau_outside_cosine_range(small_random_set, tau_sim):
+    nbrs = build_knn(small_random_set, 5)
+    with pytest.raises(ValueError, match="tau_sim="):
+        threshold_baseline(small_random_set, nbrs, tau_sim)
 
 
 def test_baseline_tau_minus_one_knn_components(small_random_set):
@@ -334,6 +341,22 @@ def test_load_partition_validation(tmp_path, text, match):
     if match is None:
         np.testing.assert_array_equal(load_partition(path), [1, 0])
         return
+    with pytest.raises(FormatError, match=match):
+        load_partition(path)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"0\t0\n1\t\xff\n", ":2: expected two"),                 # not UTF-8
+    ("0\t0\n1\t\uff11\n".encode(), ":2: expected two"),       # fullwidth digit one
+    (b"0\t0\n1\t1_0\n", ":2: expected two"),
+    (b"0\t0\n1\t+1\n", ":2: expected two"),
+    (b"0\t0\n1\t10000000000000000000\n", ":2: expected two"),  # beyond int64
+    (b"", "no partition lines"),
+    (b"\n \n", "no partition lines"),
+])
+def test_load_partition_accepts_ascii_integers_only(tmp_path, data, match):
+    path = tmp_path / "p.tsv"
+    path.write_bytes(data)
     with pytest.raises(FormatError, match=match):
         load_partition(path)
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from linkgcn import pipeline
 from linkgcn.config import seed_stream
+from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import init_model
 from linkgcn.ips import IpsConfig, pivot_blocks
 
@@ -59,3 +61,20 @@ def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, mon
     edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, workers=4)
     for name in ("i", "j", "w"):
         assert getattr(edges, name).tobytes() == getattr(reference, name).tobytes()
+
+
+@pytest.mark.parametrize("merge", ["propagate", "bfs"])
+def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a one-instance collection reached kNN or link scoring")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    monkeypatch.setattr(pipeline, "predict_links", no_work)
+    model = init_model([4, 8], "mean", seed_stream(0, "init"))
+    fs = FeatureSet(features=np.ones((1, 4), np.float32))
+    assignment, edges, timing = pipeline.cluster(fs, model, IPS, merge=merge)
+    np.testing.assert_array_equal(assignment, [0])
+    assert len(edges) == 0
+    assert isinstance(timing, pipeline.TimingReport)
+    with pytest.raises(ValueError, match="model expects D=4"):
+        pipeline.cluster(FeatureSet(features=np.ones((1, 3), np.float32)), model, IPS)
