@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
 from linkgcn.config import MERGE_STRATEGIES, make_config, seed_stream
 from linkgcn.dataset import FeatureSet
-from linkgcn.ips import IpsConfig, build_ips, clamp_config, regime_config
+from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
+from linkgcn.knn import NeighborTable
 
 
 def _parse_range(text: str, label: str, cast=int):
@@ -43,6 +45,19 @@ def _load_feature_set(args, need_labels=False) -> FeatureSet:
 
 def _maybe_normalize(fs: FeatureSet, cfg) -> FeatureSet:
     return dataset.normalize_rows(fs) if cfg.normalize else fs
+
+
+def _clamped_knn(fs: FeatureSet, ks: list):
+    """Each kNN width in ks clamped to N-1, warning once when any is, and the
+    table for the widest. A one-instance collection has no neighbors: its
+    table is empty and no search runs."""
+    cap = fs.n - 1
+    clamped = [min(k, cap) for k in ks]
+    if clamped != ks:
+        warnings.warn(f"kNN width clamped to N-1={cap}: k {ks} -> {clamped}")
+    if cap == 0:
+        return clamped, NeighborTable(indices=np.zeros((1, 0)), similarities=np.zeros((1, 0)))
+    return clamped, pipeline.build_knn(fs, max(clamped))
 
 
 def _out_dir(args) -> Path:
@@ -129,8 +144,7 @@ def cmd_eval(args):
 def cmd_upper_bound(args):
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
-    k_list = [int(tok) for tok in args.k_list.split(",")]
-    nbrs = pipeline.build_knn(fs, max(k_list))
+    k_list, nbrs = _clamped_knn(fs, [int(tok) for tok in args.k_list.split(",")])
     print("k\tF\tNMI")
     for k, report in metrics.knn_upper_bound(fs, nbrs, k_list):
         print(f"{k}\t{report.bcubed_f:.4f}\t{report.nmi:.4f}")
@@ -142,7 +156,7 @@ def cmd_toy2d(args):
     fs = dataset.synth_generate(spec)
     cfg = clamp_config(IpsConfig(h=2, k_per_hop=(args.k1, 2), u=3), fs.n)
     nbrs = pipeline.build_knn(fs, cfg.table_k)
-    ips = build_ips(0, fs, nbrs, cfg)
+    ips = build_block([0], fs, nbrs, cfg)[0]
     rows = trainer.toy2d_trace(fs, ips, steps=args.steps, seed=args.seed)
     out = _out_dir(args)
     with open(out / "toy2d.csv", "w") as fh:
@@ -156,7 +170,7 @@ def cmd_baseline(args):
     merge.check_tau_sim(args.tau_sim)
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args), cfg)
-    nbrs = pipeline.build_knn(fs, args.k)
+    _, nbrs = _clamped_knn(fs, [args.k])
     assignment = merge.threshold_baseline(fs, nbrs, args.tau_sim)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "baseline_partition.tsv")

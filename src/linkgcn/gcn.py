@@ -93,27 +93,18 @@ def init_model(dims, aggregator: str, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # aggregation matrices
 
-def mean_mixing(n: int, ei: np.ndarray, ej: np.ndarray, dtype, row_normalized: bool = False,
-                weights: np.ndarray | None = None) -> np.ndarray:
-    """Degree-normalized mixing matrix of the n-node graph with edges
-    (ei, ej), each of weight 1 or the given weight a_ij:
-    G[i, j] = a_ij / sqrt(deg_i deg_j), or a_ij / deg_i when row-normalized.
+def mean_mixing(n: int, ei: np.ndarray, ej: np.ndarray, dtype,
+                row_normalized: bool = False) -> np.ndarray:
+    """Degree-normalized mixing matrix of the n-node graph with edges (ei, ej):
+    G[i, j] = 1 / sqrt(deg_i deg_j), or 1 / deg_i when row-normalized.
     Isolated nodes get all-zero rows."""
-    deg = np.bincount(ei, weights, minlength=n).astype(dtype)
+    deg = np.bincount(ei, minlength=n).astype(dtype)
     inv = np.zeros(n, dtype=dtype)
     has = deg > 0
     inv[has] = 1.0 / (deg[has] if row_normalized else np.sqrt(deg[has]))
-    a = 1.0 if weights is None else weights
     G = np.zeros((n, n), dtype=dtype)
-    G[ei, ej] = inv[ei] * a if row_normalized else inv[ei] * a * inv[ej]
+    G[ei, ej] = inv[ei] if row_normalized else inv[ei] * inv[ej]
     return G
-
-
-def aggregate_mean(A: np.ndarray, row_normalized: bool = False) -> np.ndarray:
-    """Degree-normalized mixing matrix of a dense adjacency."""
-    A = np.asarray(A)
-    ei, ej = np.nonzero(A)
-    return mean_mixing(A.shape[0], ei, ej, A.dtype, row_normalized, A[ei, ej])
 
 
 def _edge_segments(ei: np.ndarray, ej: np.ndarray, n: int):
@@ -205,18 +196,6 @@ def _softmax_backward(dM, X, cache, mlp=None):
     return _mlp_backward(dscores, ei, ej, score_cache, X, *mlp)
 
 
-def aggregate_weighted(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Cosine-similarity softmax over each node's neighbors."""
-    return _softmax_forward(np.asarray(X), _edge_segments(*np.nonzero(A), len(A)))[0]
-
-
-def aggregate_attention(A: np.ndarray, X: np.ndarray, w1: np.ndarray,
-                        w2: np.ndarray) -> np.ndarray:
-    """Learned softmax weights: a 2-layer MLP scores each edge's endpoint pair."""
-    return _softmax_forward(np.asarray(X), _edge_segments(*np.nonzero(A), len(A)),
-                            (w1, w2))[0]
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -225,7 +204,7 @@ def _mlp(model: GcnModel, layer: int):
 
 
 def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-                   weights: np.ndarray | None = None, head_rows: int | None = None):
+                   head_rows: int | None = None):
     """Every layer and the head over the graph with edges (ei, ej), sorted
     row-major. The last layer and the head cover only the first head_rows
     nodes (all of them by default). Returns (logits, last layer's output,
@@ -234,7 +213,7 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
     n = X.shape[0]
     last = len(model.layer_weights) - 1
     if model.aggregator == "mean":
-        g_mean = mean_mixing(n, ei, ej, model.dtype, model.mean_row_normalized, weights)
+        g_mean = mean_mixing(n, ei, ej, model.dtype, model.mean_row_normalized)
     else:
         edges = _edge_segments(ei, ej, n)
     caches = []
@@ -251,14 +230,6 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
         X = Y
     logits = X @ model.head_weight + model.head_bias
     return logits, X, caches
-
-
-def _forward_full(model: GcnModel, X0: np.ndarray, A: np.ndarray):
-    """_forward_edges over a dense adjacency, whose nonzeros are the edges and
-    their weights."""
-    A = np.asarray(A, dtype=model.dtype)
-    ei, ej = np.nonzero(A != 0)  # a bool mask's nonzeros are found faster than a float's
-    return _forward_edges(model, X0, ei, ej, A[ei, ej])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -327,24 +298,6 @@ def _backward(model: GcnModel, caches, last, dlogits) -> list:
     return grads
 
 
-def loss_and_grads_arrays(model: GcnModel, X0, A, labels, loss_mask):
-    """Mean cross-entropy over masked nodes plus gradients for every parameter,
-    on a dense adjacency.
-
-    Gradient arrays come back in the order of model.parameters().
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    loss_mask = np.asarray(loss_mask, dtype=bool)
-    rows = np.flatnonzero(loss_mask)
-    if rows.size == 0:
-        raise ValueError("no nodes carry loss (empty 1-hop set)")
-    logits, last, caches = _forward_full(model, X0, A)
-    loss, d_rows = _cross_entropy(logits[rows], labels[rows], rows.size)
-    dlogits = np.zeros_like(logits)
-    dlogits[rows] = d_rows
-    return loss, _backward(model, caches, last, dlogits)
-
-
 def loss_and_grads_edges(model: GcnModel, X0, edges, hop1_labels, denom=None):
     """Cross-entropy over the first len(hop1_labels) nodes of the graph with
     the (2, m) edge list `edges`, sorted row-major, plus gradients for every
@@ -360,15 +313,6 @@ def loss_and_grads_edges(model: GcnModel, X0, edges, hop1_labels, denom=None):
                                           head_rows=labels.size)
     loss, dlogits = _cross_entropy(logits, labels, labels.size if denom is None else denom)
     return loss, _backward(model, caches, last, dlogits)
-
-
-def loss_and_grads(model: GcnModel, ips: InstancePivotSubgraph, hop1_labels):
-    """Loss/gradients for a single subgraph; labels cover the 1-hop nodes."""
-    n1 = ips.hop1_count
-    hop1_labels = np.asarray(hop1_labels, dtype=np.int64)
-    if hop1_labels.shape != (n1,):
-        raise ValueError(f"expected {n1} labels for 1-hop nodes, got {hop1_labels.shape}")
-    return loss_and_grads_edges(model, ips.features, ips.edges, hop1_labels)
 
 
 # ---------------------------------------------------------------------------

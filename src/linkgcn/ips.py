@@ -87,7 +87,8 @@ class InstancePivotSubgraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 float32 adjacency with a zero diagonal."""
+        """Dense symmetric 0/1 float32 adjacency with a zero diagonal. Nothing in
+        the package reads it; it stays for perfbench's subgraph counters."""
         adj = np.zeros((self.size, self.size), dtype=np.float32)
         adj[self.edges[0], self.edges[1]] = 1.0
         return adj
@@ -183,29 +184,3 @@ def build_block(pivots, fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> 
             for pivot, a, c, e0, e1 in zip(pivots.tolist(), start.tolist(), counts.tolist(),
                                            edge_start[:-1], edge_start[1:])]
 
-
-def discover_nodes(pivot: int, nbrs: NeighborTable, cfg: IpsConfig):
-    """Collect neighbors of the pivot up to h hops.
-
-    Hop 1 is the pivot's first k1 neighbors; hop t is the union of the first
-    k_t neighbors of every hop-(t-1) node, minus the pivot and anything seen
-    earlier. A node reachable at several hops keeps the smallest.
-    Returns (nodes, hops) in discovery order.
-    """
-    _, nodes, hops = _discover(np.array([pivot], dtype=np.int64), nbrs, cfg)
-    return nodes, hops
-
-
-def add_edges(nodes: np.ndarray, nbrs: NeighborTable, u: int) -> np.ndarray:
-    """Wire edges among distinct `nodes`: (q, r) when r is among q's top-u
-    neighbors in the whole collection and r is also a node; symmetrized.
-    Returns a (2, m) array of node positions, both directions of each edge,
-    sorted row-major."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    return np.stack(_wire(np.zeros_like(nodes), nodes, nbrs, u))
-
-
-def build_ips(pivot: int, fs: FeatureSet, nbrs: NeighborTable,
-              cfg: IpsConfig) -> InstancePivotSubgraph:
-    """Full subgraph construction for one pivot."""
-    return build_block([pivot], fs, nbrs, cfg)[0]

@@ -11,7 +11,7 @@ import numpy as np
 
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet
-from linkgcn.gcn import GcnModel, init_model, loss_and_grads, loss_and_grads_edges, _forward_edges
+from linkgcn.gcn import GcnModel, init_model, loss_and_grads_edges, _forward_edges
 from linkgcn.ips import (IpsConfig, InstancePivotSubgraph, build_block, clamp_config,
                          normalize_node_features, pivot_blocks)
 from linkgcn.knn import NeighborTable, build_knn
@@ -37,6 +37,12 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
 
 
 def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarray:
@@ -93,7 +99,8 @@ def _sgd_step(params, grads, velocities, lr, momentum):
 def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
     """Fit a link predictor on a labeled collection.
 
-    Returns the trained model and the per-epoch mean loss curve.
+    Returns the trained model and the per-epoch mean loss curve. A batch
+    loss that is not finite stops training with ValueError.
     """
     if fs.labels is None:
         raise ValueError("training needs identity labels")
@@ -127,6 +134,9 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
         for start in range(0, len(order), cfg.batch_size):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
             loss, grads = batch_loss_and_grads(model, fs, batch)
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged: non-finite loss in epoch {epoch} "
+                                 f"at lr={lr:g}")
             _sgd_step(params, grads, velocities, lr, cfg.momentum)
             losses.append(loss)
         curve.append(float(np.mean(losses)))
@@ -159,6 +169,6 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
             for node in range(ips.size):
                 rows.append((it, layer, int(ips.nodes[node]), float(Y[node, 0]),
                              float(Y[node, 1])))
-        _, grads = loss_and_grads(model, ips, hop1_labels)
+        _, grads = loss_and_grads_edges(model, ips.features, ips.edges, hop1_labels)
         _sgd_step(params, grads, velocities, lr, 0.9)
     return rows

@@ -8,7 +8,8 @@ from linkgcn.config import seed_stream
 
 def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidden=3,
                     kink_margin=1e-3):
-    """Random small model + graph for gradient checking.
+    """Random small model + graph for gradient checking. The loss mask is a
+    prefix of the nodes, so its rows can stand for a subgraph's hop-1 nodes.
 
     Draws are rejected while any ReLU preactivation sits within kink_margin
     of zero: central differences are invalid across the kink, so the oracle
@@ -27,9 +28,9 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
         labels = rng.integers(0, 2, n)
         mask = np.zeros(n, dtype=bool)
         mask[: n // 2 + 1] = True
-        _, _, caches = gcn._forward_full(model, X, A)
-        margin = np.inf
         ei, ej = np.nonzero(A)
+        _, _, caches = gcn._forward_edges(model, X, ei, ej)
+        margin = np.inf
         for layer, (X_in, _, _, Z, _) in enumerate(caches):
             margin = min(margin, float(np.min(np.abs(Z))))
             if model.aggregator == "attention":
@@ -135,8 +136,21 @@ def block_diagonal_batch(examples):
     return X, A, labels, mask
 
 
-def finite_difference_grads(model, X, A, labels, mask, eps=1e-4):
-    """Central-difference gradient of the loss for every parameter."""
+def masked_loss_and_grads(model, X, A, labels, loss_mask):
+    """Reference loss: mean cross-entropy over the masked nodes of the graph
+    with the dense 0/1 adjacency A, every layer and the head run on every
+    row, plus gradients in the order of model.parameters()."""
+    rows = np.flatnonzero(loss_mask)
+    logits, last, caches = gcn._forward_edges(model, X, *np.nonzero(A))
+    loss, d_rows = gcn._cross_entropy(logits[rows], np.asarray(labels, np.int64)[rows],
+                                      rows.size)
+    dlogits = np.zeros_like(logits)
+    dlogits[rows] = d_rows
+    return loss, gcn._backward(model, caches, last, dlogits)
+
+
+def finite_difference_grads(model, X, edges, hop1_labels, eps=1e-4):
+    """Central-difference gradient of the edge-list loss for every parameter."""
     out = []
     for p in model.parameters():
         fd = np.zeros_like(p)
@@ -145,9 +159,9 @@ def finite_difference_grads(model, X, A, labels, mask, eps=1e-4):
             ix = it.multi_index
             orig = p[ix]
             p[ix] = orig + eps
-            lp, _ = gcn.loss_and_grads_arrays(model, X, A, labels, mask)
+            lp, _ = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
             p[ix] = orig - eps
-            lm, _ = gcn.loss_and_grads_arrays(model, X, A, labels, mask)
+            lm, _ = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
             p[ix] = orig
             fd[ix] = (lp - lm) / (2 * eps)
         out.append(fd)

@@ -20,7 +20,7 @@ from linkgcn.cli import main as cli_main
 from linkgcn.config import seed_stream
 from linkgcn.dataset import (FeatureSet, SynthSpec, normalize_rows,
                              synth_generate)
-from linkgcn.gcn import aggregate_attention, aggregate_weighted, init_model
+from linkgcn.gcn import init_model
 from linkgcn.ips import IpsConfig
 from linkgcn.knn import build_knn
 from linkgcn.merge import (WeightedEdgeSet, bfs_cluster, filter_singletons,
@@ -79,8 +79,9 @@ def test_criterion_1_gradient_oracle(aggregator):
     worst = 0.0
     for seed in range(20):
         model, X, A, labels, mask = random_instance(aggregator, seed)
-        _, grads = gcn.loss_and_grads_arrays(model, X, A, labels, mask)
-        fd = finite_difference_grads(model, X, A, labels, mask)
+        edges, hop1_labels = np.stack(np.nonzero(A)), labels[mask]
+        _, grads = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
+        fd = finite_difference_grads(model, X, edges, hop1_labels)
         worst = max(worst, max_relative_error(grads, fd))
     report(f"1 ({aggregator})", worst < 1e-5,
            f"20 instances, worst relative gradient error {worst:.2e} < 1e-5")
@@ -166,11 +167,11 @@ def test_criterion_6_aggregator_row_sums():
             a, b = rng.integers(0, n, 2)
             if a != b:
                 A[a, b] = A[b, a] = 1.0
-        G = aggregate_weighted(A, X)
+        edges = gcn._edge_segments(*np.nonzero(A), n)
+        G = gcn._softmax_forward(X, edges)[0]
         model = init_model([4, 3], "attention", seed_stream(draw, "init"),
                            attention_hidden=3, dtype=np.float64)
-        w1, w2 = model.attention_mlp[0]
-        Ga = aggregate_attention(A, X, w1, w2)
+        Ga = gcn._softmax_forward(X, edges, model.attention_mlp[0])[0]
         for g in (G, Ga):
             rows = np.flatnonzero(A.sum(axis=1) > 0)
             if rows.size:

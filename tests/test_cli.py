@@ -5,6 +5,8 @@ import pytest
 
 from linkgcn import dataset, merge, pipeline, trainer
 from linkgcn.cli import main
+from linkgcn.ips import IpsConfig, build_block
+from linkgcn.knn import build_knn
 
 
 def run(capsys, *argv):
@@ -92,7 +94,9 @@ def test_train_rejects_workers(synth_dir, tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config_text", ["aggregator=foo\n", "hidden_dims=\n"])
+@pytest.mark.parametrize("config_text", ["aggregator=foo\n", "hidden_dims=\n", "lr=nan\n",
+                                         "lr=inf\n", "lr=-1\n", "momentum=1\n",
+                                         "lr_decay=0\n"])
 def test_train_bad_model_config_fails_before_knn(synth_dir, tmp_path, capsys, monkeypatch,
                                                  config_text):
     def no_work(*args, **kwargs):
@@ -283,6 +287,19 @@ def test_upper_bound_table(synth_dir, capsys):
     assert len(lines) == 4
 
 
+def test_upper_bound_clamps_k_list(synth_dir, capsys):
+    # N = 40: k = 64 is clamped to N - 1, as `cluster` clamps its regime
+    with pytest.warns(UserWarning, match="clamped to N-1=39"):
+        code, stdout, err = run(capsys, "upper-bound",
+                                "--features", str(synth_dir / "features.fmat"),
+                                "--labels", str(synth_dir / "labels.lbls"),
+                                "--k-list", "1,64")
+    assert code == 0, err
+    lines = stdout.strip().splitlines()
+    assert lines[0] == "k\tF\tNMI"
+    assert [line.split("\t")[0] for line in lines[1:]] == ["1", "39"]
+
+
 # ------------------------------------------------------------------ toy2d
 
 def test_toy2d_csv(tmp_path, capsys):
@@ -293,18 +310,45 @@ def test_toy2d_csv(tmp_path, capsys):
     lines = (out / "toy2d.csv").read_text().splitlines()
     assert lines[0] == "iteration,layer,node,x,y"
     assert len(lines) > 4
+    # the command's defaults: 2-D synth set at seed 0, regime (k1=8, 2, u=3)
+    fs = dataset.synth_generate(dataset.SynthSpec(
+        num_identities=3, samples_per_identity=(8, 8), dim=2, center_spread=1.0,
+        noise_scale=(0.15, 0.15), seed=0))
+    cfg = IpsConfig(h=2, k_per_hop=(8, 2), u=3)
+    ips = build_block([0], fs, build_knn(fs, cfg.table_k), cfg)[0]
+    rows = trainer.toy2d_trace(fs, ips, steps=4, seed=0)
+    assert lines[1:] == [f"{it},{layer},{node},{x:.6f},{y:.6f}"
+                         for it, layer, node, x, y in rows]
 
 
 # --------------------------------------------------------------- baseline
 
 def test_baseline_partition(synth_dir, tmp_path, capsys):
+    # the default --k 80 exceeds N - 1 = 39 and is clamped
     out = tmp_path / "b"
-    code, stdout, _ = run(capsys, "baseline",
-                          "--features", str(synth_dir / "features.fmat"),
-                          "--k", "10", "--tau-sim", "0.8",
-                          "--out-dir", str(out))
-    assert code == 0
+    with pytest.warns(UserWarning, match="clamped to N-1=39"):
+        code, stdout, err = run(capsys, "baseline",
+                                "--features", str(synth_dir / "features.fmat"),
+                                "--tau-sim", "0.8", "--out-dir", str(out))
+    assert code == 0, err
     assert merge.load_partition(out / "baseline_partition.tsv").shape == (40,)
+
+
+def test_baseline_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a one-instance collection reached the kNN search")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    one = tmp_path / "one.fmat"
+    fs = dataset.load_features(synth_dir / "features.fmat")
+    dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one)
+    out = tmp_path / "b"
+    with pytest.warns(UserWarning, match="clamped"):
+        code, stdout, err = run(capsys, "baseline", "--features", str(one),
+                                "--tau-sim", "0.8", "--out-dir", str(out))
+    assert code == 0, err
+    assert "clusters=1" in stdout
+    assert (out / "baseline_partition.tsv").read_text() == "0\t0\n"
 
 
 @pytest.mark.parametrize("tau_sim", ["nan", "2", "-5"])

@@ -4,12 +4,11 @@ import pytest
 from linkgcn import gcn
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
-from linkgcn.gcn import (aggregate_attention, aggregate_mean, aggregate_weighted,
-                         init_model, load_model, save_model)
-from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_ips
+from linkgcn.gcn import init_model, load_model, save_model
+from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_block
 from linkgcn.knn import build_knn
-from oracle_utils import (dense_mean_oracle, finite_difference_grads, max_relative_error,
-                          random_instance, weighted_dense_oracle)
+from oracle_utils import (dense_mean_oracle, finite_difference_grads, masked_loss_and_grads,
+                          max_relative_error, random_instance, weighted_dense_oracle)
 
 
 def random_graph(rng, n, symmetric=True):
@@ -21,11 +20,27 @@ def random_graph(rng, n, symmetric=True):
     return A
 
 
+def mean_of(A, row_normalized=False):
+    """The `mean` mixing matrix of a dense adjacency's edges, in its dtype."""
+    return gcn.mean_mixing(len(A), *np.nonzero(A), A.dtype, row_normalized)
+
+
+def softmax_of(A, X, mlp=None):
+    """The `weighted` mixing matrix of a dense adjacency's edges, or the
+    `attention` one for mlp = (w1, w2)."""
+    return gcn._softmax_forward(X, gcn._edge_segments(*np.nonzero(A), len(A)), mlp)[0]
+
+
+def forward_dense(model, X, A):
+    """Every layer and the head on every row of the graph of a dense adjacency."""
+    return gcn._forward_edges(model, X, *np.nonzero(A))
+
+
 # --------------------------------------------------------------------- mean
 
 def test_mean_two_node_swap():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    G = aggregate_mean(A)
+    G = mean_of(A)
     np.testing.assert_array_equal(G, A)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(G @ X, X[::-1])
@@ -35,7 +50,7 @@ def test_mean_path_graph():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = 1.0
     A[1, 2] = A[2, 1] = 1.0
-    G = aggregate_mean(A)
+    G = mean_of(A)
     # degrees 1, 2, 1 -> off-diagonal entries 1/sqrt(2)
     assert G[0, 1] == pytest.approx(1 / np.sqrt(2))
     assert G[1, 0] == pytest.approx(1 / np.sqrt(2))
@@ -50,7 +65,7 @@ def test_mean_path_graph():
 def test_mean_isolated_node_zero_row():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = 1.0
-    G = aggregate_mean(A)
+    G = mean_of(A)
     np.testing.assert_array_equal(G[2], 0.0)
     np.testing.assert_array_equal(G[:, 2], 0.0)
 
@@ -59,7 +74,7 @@ def test_mean_row_normalized_variant():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = 1.0
     A[1, 2] = A[2, 1] = 1.0
-    G = aggregate_mean(A, row_normalized=True)
+    G = mean_of(A, row_normalized=True)
     np.testing.assert_allclose(G.sum(axis=1), [1.0, 1.0, 1.0])
     assert G[1, 0] == pytest.approx(0.5)
 
@@ -73,7 +88,7 @@ def test_mean_bitwise_equals_dense_formula(dtype, row_normalized):
         A = random_graph(rng, n).astype(dtype)
         A[rng.integers(0, n)] = 0.0       # an isolated node
         A[:, A.sum(axis=1) == 0] = 0.0
-        G = aggregate_mean(A, row_normalized)
+        G = mean_of(A, row_normalized)
         expect = dense_mean_oracle(A, row_normalized)
         assert G.dtype == expect.dtype and G.tobytes() == expect.tobytes()
 
@@ -83,7 +98,7 @@ def test_mean_bitwise_equals_dense_formula(dtype, row_normalized):
 def test_weighted_single_neighbor():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     X = np.array([[1.0, 0.0], [0.3, -2.0]])
-    G = aggregate_weighted(A, X)
+    G = softmax_of(A, X)
     assert G[0, 1] == pytest.approx(1.0)
     assert G[1, 0] == pytest.approx(1.0)
 
@@ -92,7 +107,7 @@ def test_weighted_equal_similarities():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = A[0, 2] = A[2, 0] = 1.0
     X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # both sims are 0
-    G = aggregate_weighted(A, X)
+    G = softmax_of(A, X)
     assert G[0, 1] == pytest.approx(0.5)
     assert G[0, 2] == pytest.approx(0.5)
 
@@ -105,7 +120,7 @@ def test_weighted_softmax_values():
                   [s2, np.sqrt(1 - s2 ** 2)]])
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = A[0, 2] = A[2, 0] = 1.0
-    G = aggregate_weighted(A, X)
+    G = softmax_of(A, X)
     z = np.exp(s1) + np.exp(s2)
     assert G[0, 1] == pytest.approx(np.exp(s1) / z, abs=1e-9)
     assert G[0, 2] == pytest.approx(np.exp(s2) / z, abs=1e-9)
@@ -121,7 +136,7 @@ def test_weighted_matches_dense_reference():
         A[:, A.sum(axis=1) == 0] = 0.0
         X = rng.standard_normal((n, 4))
         X[rng.random(n) < 0.25] = 0.0     # zero feature rows
-        G = aggregate_weighted(A, X)
+        G = softmax_of(A, X)
         worst = max(worst, float(np.max(np.abs(G - weighted_dense_oracle(A, X)))))
     assert worst < 1e-12
 
@@ -129,7 +144,7 @@ def test_weighted_matches_dense_reference():
 def test_weighted_zero_feature_row():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    G = aggregate_weighted(A, X)  # similarity substituted with 0
+    G = softmax_of(A, X)  # similarity substituted with 0
     assert G[0, 1] == pytest.approx(1.0)  # softmax over a singleton
 
 
@@ -141,7 +156,7 @@ def test_attention_zero_mlp_uniform():
     X = rng.standard_normal((5, 3))
     w1 = np.zeros((6, 4))
     w2 = np.zeros((4, 1))
-    G = aggregate_attention(A, X, w1, w2)
+    G = softmax_of(A, X, (w1, w2))
     deg = A.sum(1)
     for i in range(5):
         if deg[i]:
@@ -154,7 +169,7 @@ def test_attention_single_neighbor_weight_one():
     X = rng.standard_normal((2, 3))
     w1 = rng.standard_normal((6, 4))
     w2 = rng.standard_normal((4, 1))
-    G = aggregate_attention(A, X, w1, w2)
+    G = softmax_of(A, X, (w1, w2))
     assert G[0, 1] == pytest.approx(1.0)
 
 
@@ -164,7 +179,7 @@ def test_attention_rows_sum_to_one():
     X = rng.standard_normal((4, 3))
     w1 = rng.standard_normal((6, 5))
     w2 = rng.standard_normal((5, 1))
-    G = aggregate_attention(A, X, w1, w2)
+    G = softmax_of(A, X, (w1, w2))
     deg = A.sum(1)
     sums = G.sum(axis=1)
     np.testing.assert_allclose(sums[deg > 0], 1.0, atol=1e-6)
@@ -177,9 +192,9 @@ def test_row_stochasticity_many_draws():
         n = int(rng.integers(2, 12))
         A = random_graph(rng, n)
         X = rng.standard_normal((n, 4))
-        for G in (aggregate_weighted(A, X),
-                  aggregate_attention(A, X, rng.standard_normal((8, 3)),
-                                      rng.standard_normal((3, 1)))):
+        for G in (softmax_of(A, X),
+                  softmax_of(A, X, (rng.standard_normal((8, 3)),
+                                      rng.standard_normal((3, 1))))):
             deg = A.sum(1)
             sums = G.sum(axis=1)
             np.testing.assert_allclose(sums[deg > 0], 1.0, atol=1e-6)
@@ -188,7 +203,7 @@ def test_row_stochasticity_many_draws():
 
 # ------------------------------------------------------------ layer forward
 # One-layer `mean` models: the layer's output relu([X | G X] W) is the
-# second value _forward_full returns, with G the normalized adjacency.
+# second value forward_dense returns, with G the normalized adjacency.
 
 def one_layer(W):
     model = init_model([W.shape[0] // 2, W.shape[1]], "mean", seed_stream(0, "init"),
@@ -201,7 +216,7 @@ def test_gconv_isolated_identity_selection():
     X = np.array([[1.0, -2.0], [3.0, -4.0]])
     A = np.zeros((2, 2))                  # isolated nodes: G = 0
     W = np.vstack([np.eye(2), np.zeros((2, 2))])
-    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    _, Y, _ = forward_dense(one_layer(W), X, A)
     np.testing.assert_array_equal(Y, np.maximum(X, 0))
 
 
@@ -209,7 +224,7 @@ def test_gconv_swap_graph_hand_product():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])  # degree 1: G = A
     W = np.array([[1.0], [0.0], [0.0], [0.0]])
-    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    _, Y, _ = forward_dense(one_layer(W), X, A)
     np.testing.assert_array_equal(Y, [[1.0], [0.0]])
 
 
@@ -217,25 +232,25 @@ def test_gconv_matches_dense_oracle():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((6, 3))
     A = rng.random((6, 6))
-    A = A + A.T                           # dense, weighted, symmetric
+    A = (A + A.T > 1.0).astype(float)     # 0/1, symmetric, two self loops
     deg = A.sum(axis=1)
     G = np.diag(deg ** -0.5) @ A @ np.diag(deg ** -0.5)
     W = rng.standard_normal((6, 2))
     expect = np.maximum(np.hstack([X, G @ X]) @ W, 0)
-    _, Y, _ = gcn._forward_full(one_layer(W), X, A)
+    _, Y, _ = forward_dense(one_layer(W), X, A)
     np.testing.assert_allclose(Y, expect, atol=1e-12)
 
 
 def test_gconv_shape_mismatch():
     with pytest.raises(ValueError):
-        gcn._forward_full(one_layer(np.ones((4, 2))), np.ones((2, 3)), np.zeros((2, 2)))
+        forward_dense(one_layer(np.ones((4, 2))), np.ones((2, 3)), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------ full forward
 
 def make_ips(fs, pivot=0, k1=10, k2=3, u=3):
     nbrs = build_knn(fs, max(k1, u) + 2)
-    return build_ips(pivot, fs, nbrs, IpsConfig(h=2, k_per_hop=(k1, k2), u=u))
+    return build_block([pivot], fs, nbrs, IpsConfig(h=2, k_per_hop=(k1, k2), u=u))[0]
 
 
 def test_forward_zero_weight_model(small_random_set):
@@ -252,7 +267,7 @@ def test_forward_zero_weight_model(small_random_set):
 
 def test_forward_single_node_ips(small_random_set):
     nbrs = build_knn(small_random_set, 2)
-    ips = build_ips(0, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(1,), u=1))
+    ips = build_block([0], small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(1,), u=1))[0]
     model = init_model([8, 4, 4, 4, 4], "mean", seed_stream(1, "init"))
     probs = gcn.forward(model, ips)
     assert probs.shape == (1,)
@@ -277,8 +292,8 @@ def test_forward_matches_dense_full_forward(synth_1k_set, synth_1k_nbrs, aggrega
     cfg = IpsConfig(h=2, k_per_hop=(80, 5), u=5)
     worst = 0.0
     for pivot in (0, 333, 999):
-        ips = build_ips(pivot, synth_1k_set, synth_1k_nbrs, cfg)
-        logits, _, _ = gcn._forward_full(model, ips.features, ips.adjacency)
+        ips = build_block([pivot], synth_1k_set, synth_1k_nbrs, cfg)[0]
+        logits, _, _ = gcn._forward_edges(model, ips.features, *ips.edges)
         expect = gcn._softmax(logits)[: ips.hop1_count, 1]
         probs = gcn.forward(model, ips)
         assert probs.shape == expect.shape
@@ -289,7 +304,7 @@ def test_forward_matches_dense_full_forward(synth_1k_set, synth_1k_nbrs, aggrega
 def test_forward_probs_sum_to_one(small_random_set):
     ips = make_ips(small_random_set)
     model = init_model([8, 4, 4, 4, 4], "mean", seed_stream(3, "init"), dtype=np.float64)
-    logits, _, _ = gcn._forward_full(model, ips.features, ips.adjacency)
+    logits, _, _ = gcn._forward_edges(model, ips.features, *ips.edges)
     p = gcn._softmax(logits)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
@@ -304,7 +319,7 @@ def test_loss_half_half_prediction(small_random_set):
     model.head_weight[:] = 0.0
     model.head_bias[:] = 0.0  # exact (0.5, 0.5) everywhere
     labels = np.zeros(ips.hop1_count, dtype=np.int64)
-    loss, _ = gcn.loss_and_grads(model, ips, labels)
+    loss, _ = gcn.loss_and_grads_edges(model, ips.features, ips.edges, labels)
     assert loss == pytest.approx(np.log(2), abs=1e-12)
 
 
@@ -316,7 +331,7 @@ def test_loss_saturated_correct(small_random_set):
     model.head_weight[:] = 0.0
     model.head_bias[:] = [-30.0, 30.0]  # saturated positive
     labels = np.ones(ips.hop1_count, dtype=np.int64)
-    loss, grads = gcn.loss_and_grads(model, ips, labels)
+    loss, grads = gcn.loss_and_grads_edges(model, ips.features, ips.edges, labels)
     assert loss < 1e-9
     assert max(float(np.max(np.abs(g))) for g in grads) < 1e-9
 
@@ -324,27 +339,8 @@ def test_loss_saturated_correct(small_random_set):
 def test_loss_requires_hop1_nodes():
     model = init_model([2, 2, 2], "mean", seed_stream(0, "init"))
     with pytest.raises(ValueError, match="1-hop|loss"):
-        gcn.loss_and_grads_arrays(model, np.ones((3, 2)), np.zeros((3, 3)),
-                                  np.zeros(3, np.int64), np.zeros(3, bool))
-
-
-def test_loss_ignores_higher_hop_labels(small_random_set):
-    ips = make_ips(small_random_set)
-    model = init_model([8, 4, 4, 4, 4], "mean", seed_stream(6, "init"), dtype=np.float64)
-    n, n1 = ips.size, ips.hop1_count
-    mask = np.zeros(n, bool)
-    mask[:n1] = True
-    labels_a = np.zeros(n, np.int64)
-    labels_a[:n1] = 1
-    labels_b = labels_a.copy()
-    labels_b[n1:] = 1  # garbage labels beyond hop 1
-    loss_a, grads_a = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency,
-                                                labels_a, mask)
-    loss_b, grads_b = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency,
-                                                labels_b, mask)
-    assert loss_a == loss_b
-    for a, b in zip(grads_a, grads_b):
-        np.testing.assert_array_equal(a, b)
+        gcn.loss_and_grads_edges(model, np.ones((3, 2)), np.zeros((2, 0), np.int64),
+                                 np.zeros(0, np.int64))
 
 
 @pytest.mark.parametrize("aggregator, row_normalized", [
@@ -355,15 +351,15 @@ def test_hop1_rows_backward_matches_full_rows(synth_1k_set, synth_1k_nbrs, aggre
     # hop-1 loss mask
     model = init_model([16, 12, 8, 6], aggregator, seed_stream(8, "init"), attention_hidden=5,
                        dtype=np.float64, mean_row_normalized=row_normalized)
-    ips = build_ips(333, synth_1k_set, synth_1k_nbrs, IpsConfig(h=2, k_per_hop=(30, 4), u=5))
+    ips = build_block([333], synth_1k_set, synth_1k_nbrs, IpsConfig(h=2, k_per_hop=(30, 4), u=5))[0]
     n1 = ips.hop1_count
     assert ips.size > n1
     labels = (np.arange(n1) % 3 == 0).astype(np.int64)
     loss, grads = gcn.loss_and_grads_edges(model, ips.features, ips.edges, labels)
     full_labels = np.zeros(ips.size, np.int64)
     full_labels[:n1] = labels
-    loss_ref, grads_ref = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency,
-                                                    full_labels, np.arange(ips.size) < n1)
+    loss_ref, grads_ref = masked_loss_and_grads(model, ips.features, ips.adjacency,
+                                                full_labels, np.arange(ips.size) < n1)
     assert loss == pytest.approx(loss_ref, rel=1e-12)
     for g, ref in zip(grads, grads_ref, strict=True):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10 * float(np.max(np.abs(ref))))
@@ -373,21 +369,22 @@ def test_hop1_rows_backward_matches_full_rows(synth_1k_set, synth_1k_nbrs, aggre
 def test_gradients_match_finite_differences(aggregator):
     for seed in range(3):
         model, X, A, labels, mask = random_instance(aggregator, seed)
-        _, analytic = gcn.loss_and_grads_arrays(model, X, A, labels, mask)
-        numeric = finite_difference_grads(model, X, A, labels, mask)
+        edges, hop1_labels = np.stack(np.nonzero(A)), labels[mask]
+        _, analytic = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
+        numeric = finite_difference_grads(model, X, edges, hop1_labels)
         assert max_relative_error(analytic, numeric) < 1e-5
 
 
 @pytest.mark.parametrize("aggregator", gcn.AGGREGATORS)
 def test_permutation_equivariance(aggregator):
     model, X, A, labels, mask = random_instance(aggregator, seed=12)
-    loss, _ = gcn.loss_and_grads_arrays(model, X, A, labels, mask)
-    logits, _, _ = gcn._forward_full(model, X, A)
+    loss, _ = masked_loss_and_grads(model, X, A, labels, mask)
+    logits, _, _ = forward_dense(model, X, A)
     rng = np.random.default_rng(0)
     perm = rng.permutation(X.shape[0])
-    loss_p, _ = gcn.loss_and_grads_arrays(model, X[perm], A[np.ix_(perm, perm)],
-                                          labels[perm], mask[perm])
-    logits_p, _, _ = gcn._forward_full(model, X[perm], A[np.ix_(perm, perm)])
+    loss_p, _ = masked_loss_and_grads(model, X[perm], A[np.ix_(perm, perm)],
+                                      labels[perm], mask[perm])
+    logits_p, _, _ = forward_dense(model, X[perm], A[np.ix_(perm, perm)])
     assert loss_p == pytest.approx(loss, abs=1e-6)
     np.testing.assert_allclose(logits_p, logits[perm], atol=1e-6)
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import (InstancePivotSubgraph, IpsConfig, add_edges, build_block, build_ips,
-                         clamp_config, discover_nodes, normalize_node_features,
+from linkgcn.ips import (IpsConfig, _wire, build_block, clamp_config, normalize_node_features,
                          pivot_blocks, regime_config)
 from linkgcn.knn import build_knn
 from oracle_utils import discover_nodes_loop, subgraph_adjacency_oracle
@@ -21,8 +20,20 @@ def sorted_neighbor_oracle(feats):
     return out
 
 
+def wire(nodes, nbrs, u):
+    """The (2, m) edge array of one subgraph on an arbitrary node set."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return np.stack(_wire(np.zeros_like(nodes), nodes, nbrs, u))
+
+
+def discover(pivot, fs, nbrs, cfg):
+    """(nodes, hops) of one pivot's subgraph."""
+    ips = build_block([pivot], fs, nbrs, cfg)[0]
+    return ips.nodes, ips.hop_of
+
+
 def dense(edges, n):
-    """The 0/1 adjacency of an edge array from add_edges."""
+    """The 0/1 adjacency of an edge array."""
     adj = np.zeros((n, n))
     adj[edges[0], edges[1]] = 1.0
     return adj
@@ -63,7 +74,7 @@ def test_table_k_covers_u():
 
 def test_discover_single_hop(small_random_set):
     nbrs = build_knn(small_random_set, 10)
-    nodes, hops = discover_nodes(3, nbrs, IpsConfig(h=1, k_per_hop=(3,), u=1))
+    nodes, hops = discover(3, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(3,), u=1))
     np.testing.assert_array_equal(nodes, nbrs.indices[3, :3])
     np.testing.assert_array_equal(hops, [1, 1, 1])
 
@@ -78,7 +89,7 @@ def test_discover_dedup_absorbs_second_hop():
     nbrs = build_knn(fs, 4)
     oracle = sorted_neighbor_oracle(fs.features)
     cfg = IpsConfig(h=2, k_per_hop=(2, 2), u=2)
-    nodes, hops = discover_nodes(0, nbrs, cfg)
+    nodes, hops = discover(0, fs, nbrs, cfg)
     # hand-run expansion with the oracle
     hop1 = oracle[0][:2]
     seen = {0, *hop1}
@@ -101,7 +112,7 @@ def test_discover_node_count_bound():
     nbrs = build_knn(fs, 10)
     cfg = IpsConfig(h=2, k_per_hop=(10, 2), u=3)
     for pivot in range(0, 100, 7):
-        nodes, hops = discover_nodes(pivot, nbrs, cfg)
+        nodes, hops = discover(pivot, fs, nbrs, cfg)
         assert 10 <= len(nodes) <= 10 + 10 * 2
         assert int(np.sum(hops == 1)) == 10
 
@@ -109,7 +120,7 @@ def test_discover_node_count_bound():
 def test_discover_k_exceeds_table(small_random_set):
     nbrs = build_knn(small_random_set, 5)
     with pytest.raises(ValueError, match="exceeds"):
-        discover_nodes(0, nbrs, IpsConfig(h=1, k_per_hop=(6,), u=1))
+        discover(0, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(6,), u=1))
 
 
 def test_normalize_node_features_subtracts_pivot():
@@ -135,10 +146,10 @@ def test_add_edges_symmetrizes_one_direction():
     fs = normalize_rows(FeatureSet(features=feats))
     nbrs = build_knn(fs, 2)
     # nodes {0, 2}: 0's 1-NN is 1 (outside), 2's 1-NN is 1 (outside)
-    adj = dense(add_edges(np.array([0, 2]), nbrs, 1), 2)
+    adj = dense(wire(np.array([0, 2]), nbrs, 1), 2)
     np.testing.assert_array_equal(adj, np.zeros((2, 2)))
     # nodes {1, 2}: 2's 1-NN is 1 -> symmetric edge even though 1's 1-NN is 0
-    adj = dense(add_edges(np.array([1, 2]), nbrs, 1), 2)
+    adj = dense(wire(np.array([1, 2]), nbrs, 1), 2)
     np.testing.assert_array_equal(adj, [[0, 1], [1, 0]])
 
 
@@ -153,9 +164,9 @@ def test_add_edges_rank_oracle():
     for cfg in (IpsConfig(h=2, k_per_hop=(80, 5), u=5),
                 IpsConfig(h=2, k_per_hop=(200, 10), u=10)):
         for pivot in (0, 131):
-            cases.append((discover_nodes(pivot, nbrs, cfg)[0], cfg.u))
+            cases.append((discover(pivot, fs, nbrs, cfg)[0], cfg.u))
     for nodes, u in cases:
-        adj = dense(add_edges(nodes, nbrs, u), len(nodes))
+        adj = dense(wire(nodes, nbrs, u), len(nodes))
         node_set = set(int(v) for v in nodes)
         expect = np.zeros((len(nodes), len(nodes)))
         pos = {int(v): i for i, v in enumerate(nodes)}
@@ -170,12 +181,12 @@ def test_add_edges_rank_oracle():
 def test_add_edges_u_exceeds_table(small_random_set):
     nbrs = build_knn(small_random_set, 4)
     with pytest.raises(ValueError, match="u="):
-        add_edges(np.array([0, 1]), nbrs, 5)
+        wire(np.array([0, 1]), nbrs, 5)
 
 
 def test_build_ips_smallest_case(small_random_set):
     nbrs = build_knn(small_random_set, 3)
-    ips = build_ips(0, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(1,), u=1))
+    ips = build_block([0], small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(1,), u=1))[0]
     assert ips.size == 1
     assert ips.adjacency.shape == (1, 1) and ips.adjacency[0, 0] == 0
 
@@ -184,7 +195,7 @@ def test_build_ips_invariants(synth_1k_set, synth_1k_nbrs):
     cfg = IpsConfig(h=2, k_per_hop=(80, 5), u=5)
     rng = np.random.default_rng(0)
     for pivot in rng.choice(synth_1k_set.n, size=40, replace=False):
-        ips = build_ips(int(pivot), synth_1k_set, synth_1k_nbrs, cfg)
+        ips = build_block([int(pivot)], synth_1k_set, synth_1k_nbrs, cfg)[0]
         assert ips.pivot not in ips.nodes
         assert len(np.unique(ips.nodes)) == ips.size
         assert ips.hop1_count == min(80, synth_1k_set.n - 1)
@@ -201,8 +212,8 @@ def test_build_ips_invariants(synth_1k_set, synth_1k_nbrs):
 
 def test_build_ips_deterministic(synth_1k_set, synth_1k_nbrs):
     cfg = IpsConfig(h=2, k_per_hop=(10, 3), u=4)
-    a = build_ips(17, synth_1k_set, synth_1k_nbrs, cfg)
-    b = build_ips(17, synth_1k_set, synth_1k_nbrs, cfg)
+    a = build_block([17], synth_1k_set, synth_1k_nbrs, cfg)[0]
+    b = build_block([17], synth_1k_set, synth_1k_nbrs, cfg)[0]
     np.testing.assert_array_equal(a.nodes, b.nodes)
     assert a.features.tobytes() == b.features.tobytes()
     assert a.adjacency.tobytes() == b.adjacency.tobytes()
@@ -210,7 +221,7 @@ def test_build_ips_deterministic(synth_1k_set, synth_1k_nbrs):
 
 def test_build_ips_min_hop_recorded(synth_1k_set, synth_1k_nbrs):
     cfg = IpsConfig(h=2, k_per_hop=(20, 5), u=5)
-    ips = build_ips(5, synth_1k_set, synth_1k_nbrs, cfg)
+    ips = build_block([5], synth_1k_set, synth_1k_nbrs, cfg)[0]
     hop1_nodes = ips.nodes[ips.hop_of == 1]
     np.testing.assert_array_equal(hop1_nodes, synth_1k_nbrs.indices[5, :20])
     # nothing tagged hop 2 may sit in the pivot's top-k1 list

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import conftest
-from linkgcn import gcn
+from linkgcn import gcn, trainer
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import IpsConfig, build_block, build_ips, normalize_node_features
+from linkgcn.ips import IpsConfig, build_block, normalize_node_features
 from linkgcn.knn import build_knn
 from linkgcn.merge import bfs_cluster, pool_edges
 from linkgcn.metrics import evaluate
 from linkgcn.pipeline import predict_links
 from linkgcn.trainer import (TrainConfig, _sgd_step, batch_loss_and_grads, build_examples,
                              subgraph_labels, toy2d_trace, train)
-from oracle_utils import block_diagonal_batch
+from oracle_utils import block_diagonal_batch, masked_loss_and_grads
 
 SMALL = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
                     ips=IpsConfig(h=2, k_per_hop=(20, 3), u=3))
@@ -23,7 +23,7 @@ SMALL = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
 def test_subgraph_labels_match_pivot(easy_two_identity_set, request):
     fs = easy_two_identity_set
     nbrs = build_knn(fs, 20)
-    ips = build_ips(0, fs, nbrs, IpsConfig(h=1, k_per_hop=(20,), u=3))
+    ips = build_block([0], fs, nbrs, IpsConfig(h=1, k_per_hop=(20,), u=3))[0]
     labs = subgraph_labels(ips, fs.labels)
     expect = (fs.labels[ips.nodes[:20]] == fs.labels[0]).astype(np.int64)
     np.testing.assert_array_equal(labs, expect)
@@ -35,7 +35,7 @@ def test_subgraph_labels_distractor_pivot(easy_two_identity_set):
     labels[0] = -1
     fs2 = FeatureSet(features=fs.features, labels=labels)
     nbrs = build_knn(fs2, 10)
-    ips = build_ips(0, fs2, nbrs, IpsConfig(h=1, k_per_hop=(10,), u=3))
+    ips = build_block([0], fs2, nbrs, IpsConfig(h=1, k_per_hop=(10,), u=3))[0]
     assert not subgraph_labels(ips, labels).any()
 
 
@@ -45,7 +45,7 @@ def test_subgraph_labels_distractor_neighbors_negative(easy_two_identity_set):
     labels[1:] = -1
     fs2 = FeatureSet(features=fs.features, labels=labels)
     nbrs = build_knn(fs2, 10)
-    ips = build_ips(0, fs2, nbrs, IpsConfig(h=1, k_per_hop=(10,), u=3))
+    ips = build_block([0], fs2, nbrs, IpsConfig(h=1, k_per_hop=(10,), u=3))[0]
     assert not subgraph_labels(ips, labels).any()
 
 
@@ -113,7 +113,7 @@ def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, to
     model = gcn.init_model([fs.dim, 6, 5, 4], aggregator, seed_stream(5, "init"),
                            attention_hidden=4, dtype=dtype, mean_row_normalized=row_normalized)
     loss, grads = batch_loss_and_grads(model, fs, batch)
-    loss_ref, grads_ref = gcn.loss_and_grads_arrays(model, *dense_batch(fs, batch, dtype))
+    loss_ref, grads_ref = masked_loss_and_grads(model, *dense_batch(fs, batch, dtype))
     assert relative_errors(loss, grads, loss_ref, grads_ref) < tol
 
 
@@ -214,7 +214,7 @@ def toy_fs_and_ips(seed=0):
     fs = synth_generate(spec)
     nbrs = build_knn(fs, 8)
     cfg = IpsConfig(h=2, k_per_hop=(8, 2), u=3)
-    return fs, build_ips(0, fs, nbrs, cfg)
+    return fs, build_block([0], fs, nbrs, cfg)[0]
 
 
 def test_toy2d_row_count():
@@ -230,7 +230,7 @@ def test_toy2d_row_count():
 def test_toy2d_requires_2d(easy_two_identity_set):
     fs = easy_two_identity_set
     nbrs = build_knn(fs, 8)
-    ips = build_ips(0, fs, nbrs, IpsConfig(h=1, k_per_hop=(8,), u=3))
+    ips = build_block([0], fs, nbrs, IpsConfig(h=1, k_per_hop=(8,), u=3))[0]
     with pytest.raises(ValueError, match="2-D"):
         toy2d_trace(fs, ips, steps=2)
 
@@ -253,11 +253,11 @@ def test_toy2d_matches_dense_reference():
     mask = np.arange(ips.size) < ips.hop1_count
     expect = []
     for it in range(8):
-        _, _, caches = gcn._forward_full(model, ips.features, ips.adjacency)
+        _, _, caches = gcn._forward_edges(model, ips.features, *ips.edges)
         for layer, (_, _, _, Z, _) in enumerate(caches):
             Y = np.maximum(Z, 0)
             expect += [(it, layer, int(ips.nodes[q]), Y[q, 0], Y[q, 1]) for q in range(ips.size)]
-        _, grads = gcn.loss_and_grads_arrays(model, ips.features, ips.adjacency, labels, mask)
+        _, grads = masked_loss_and_grads(model, ips.features, ips.adjacency, labels, mask)
         _sgd_step(params, grads, velocities, 0.1, 0.9)
     assert [r[:3] for r in rows] == [r[:3] for r in expect]
     np.testing.assert_allclose([r[3:] for r in rows], [r[3:] for r in expect],
@@ -273,3 +273,20 @@ def test_toy2d_deterministic():
 def test_train_config_rejects_nonpositive(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         TrainConfig(**{field: 0})
+
+
+def test_train_stops_at_non_finite_loss(easy_two_identity_set, monkeypatch):
+    # a NaN batch loss stands in for a diverged run, without the overflow
+    # warnings a huge learning rate would raise first
+    calls = []
+    real = trainer.batch_loss_and_grads
+
+    def diverged(*args):
+        calls.append(1)
+        loss, grads = real(*args)
+        return (float("nan") if len(calls) == 3 else loss), grads
+
+    monkeypatch.setattr(trainer, "batch_loss_and_grads", diverged)
+    with pytest.raises(ValueError, match="non-finite loss in epoch 0"):
+        train(easy_two_identity_set, SMALL)
+    assert len(calls) == 3
