@@ -6,7 +6,7 @@ merging of likely links into clusters.
 """
 
 from linkgcn.dataset import FeatureSet, SynthSpec, load_features, save_features, \
-    load_labels, save_labels, normalize_rows, synth_generate, concat_views
+    load_labels, save_labels, normalize_rows, synth_generate
 from linkgcn.knn import NeighborTable, build_knn
 from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block
 from linkgcn.gcn import GcnModel, init_model, forward, loss_and_grads_edges

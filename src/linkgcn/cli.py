@@ -8,6 +8,7 @@ command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
-from linkgcn.config import MERGE_STRATEGIES, make_config, seed_stream
+from linkgcn.config import MERGE_STRATEGIES, PipelineConfig, make_config
 from linkgcn.dataset import FeatureSet
 from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
 from linkgcn.knn import NeighborTable
@@ -179,9 +180,8 @@ def cmd_baseline(args):
 
 
 def _config_overrides(args) -> dict:
-    keys = ("seed", "workers", "aggregator", "epochs", "batch_size", "lr",
-            "merge", "tau", "tau0", "dtau", "max_size", "normalize",
-            "test_k1", "test_k2", "test_u", "train_k1", "train_k2", "train_u")
+    """The flags given that name a PipelineConfig field."""
+    keys = (f.name for f in dataclasses.fields(PipelineConfig))
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
@@ -275,11 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # each warning is one line, without its source location
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            args.func(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -197,15 +197,3 @@ def synth_generate(spec: SynthSpec) -> FeatureSet:
     feats = np.concatenate(blocks).astype(np.float32)
     return FeatureSet(features=feats, labels=np.concatenate(labels), normalized=False)
 
-
-def concat_views(a: FeatureSet, b: FeatureSet) -> FeatureSet:
-    """Join two views of the same instances by feature concatenation."""
-    if a.n != b.n:
-        raise ValueError(f"view row counts differ: {a.n} vs {b.n}")
-    labels = a.labels if a.labels is not None else b.labels
-    if a.labels is not None and b.labels is not None:
-        if not np.array_equal(a.labels, b.labels):
-            bad = int(np.flatnonzero(a.labels != b.labels)[0])
-            raise ValueError(f"view labels disagree at index {bad}")
-    feats = np.concatenate([a.features, b.features], axis=1)
-    return FeatureSet(features=feats, labels=labels, normalized=False)

@@ -67,8 +67,7 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
 
 def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
             merge: str = "propagate", tau: float = 0.5, tau0: float = 0.5,
-            dtau: float = 0.05, max_size: int = 600, workers: int = 1,
-            nbrs: NeighborTable | None = None):
+            dtau: float = 0.05, max_size: int = 600, workers: int = 1):
     """Full pipeline. Returns (assignment, edges, TimingReport).
 
     A one-instance collection has no neighbor to link: it builds no kNN
@@ -79,8 +78,7 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
         edges = pool_edges([], [], [])
         t1 = t2 = time.perf_counter()
     else:
-        if nbrs is None:
-            nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
+        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
         t1 = time.perf_counter()
         edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
         t2 = time.perf_counter()

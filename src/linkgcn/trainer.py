@@ -1,20 +1,21 @@
-"""Training loop: per-pivot subgraph examples held as edge lists, mini-batches
-scored one subgraph at a time, SGD with momentum, and the 2-D embedding
-trace used for visualization."""
+"""Training loop: each mini-batch's pivot subgraphs built when the batch is
+reached and scored one subgraph at a time on their edge lists, SGD with
+momentum, and the 2-D embedding trace used for visualization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, init_model, loss_and_grads_edges, _forward_edges
-from linkgcn.ips import (IpsConfig, InstancePivotSubgraph, build_block, clamp_config,
-                         normalize_node_features, pivot_blocks)
-from linkgcn.knn import NeighborTable, build_knn
+from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, clamp_config
+from linkgcn.knn import build_knn
+
+# fractions of the epochs after which the learning rate is multiplied by lr_decay
+DECAY_AT = (0.5, 0.75)
 
 
 @dataclass
@@ -29,9 +30,7 @@ class TrainConfig:
     lr: float = 0.01
     momentum: float = 0.9
     lr_decay: float = 0.1
-    decay_at: tuple = (0.5, 0.75)
     seed: int = 0
-    dtype: type = np.float32
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -55,31 +54,14 @@ def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarra
     return (labels[ips.nodes[:n1]] == pivot_label).astype(np.int64)
 
 
-class Example(NamedTuple):
-    """One pivot's subgraph as training needs it. Features are not kept:
-    they are gathered again, relative to the pivot, at each step."""
-    pivot: int
-    nodes: np.ndarray    # instance ids, hop-major, the hop-1 nodes first
-    edges: np.ndarray    # (2, m) int32 node positions, sorted row-major
-    labels: np.ndarray   # 0/1 for each hop-1 node
-
-
-def build_examples(fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> list:
-    """An Example for every pivot with at least one hop-1 node, in pivot order."""
-    return [Example(ips.pivot, ips.nodes, ips.edges.astype(np.int32),
-                    subgraph_labels(ips, fs.labels))
-            for pivots in pivot_blocks(fs.n, cfg)
-            for ips in build_block(pivots, fs, nbrs, cfg) if ips.hop1_count > 0]
-
-
 def batch_loss_and_grads(model: GcnModel, fs: FeatureSet, batch) -> tuple:
-    """Mean cross-entropy over the hop-1 nodes of a batch of Examples and its
+    """Mean cross-entropy over the hop-1 nodes of a batch of subgraphs and its
     gradients, taken one subgraph at a time on its edge list."""
-    total = sum(ex.labels.size for ex in batch)
+    labels = [subgraph_labels(ips, fs.labels) for ips in batch]
+    total = sum(lab.size for lab in labels)
     loss, grads = 0.0, None
-    for ex in batch:
-        X = normalize_node_features(fs, ex.pivot, ex.nodes)
-        part, part_grads = loss_and_grads_edges(model, X, ex.edges, ex.labels, total)
+    for ips, lab in zip(batch, labels):
+        part, part_grads = loss_and_grads_edges(model, ips.features, ips.edges, lab, total)
         loss += part
         if grads is None:
             grads = part_grads
@@ -96,11 +78,13 @@ def _sgd_step(params, grads, velocities, lr, momentum):
         p += v
 
 
-def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
+def train(fs: FeatureSet, cfg: TrainConfig):
     """Fit a link predictor on a labeled collection.
 
-    Returns the trained model and the per-epoch mean loss curve. A batch
-    loss that is not finite stops training with ValueError.
+    Each batch's subgraphs are built when the batch is reached and dropped
+    after its step, so no per-pivot state outlives its batch. Returns the
+    trained model and the per-epoch mean loss curve. A batch loss or a final
+    parameter that is not finite stops training with ValueError.
     """
     if fs.labels is None:
         raise ValueError("training needs identity labels")
@@ -109,37 +93,38 @@ def train(fs: FeatureSet, cfg: TrainConfig, nbrs: NeighborTable | None = None):
         raise ValueError(f"training needs >= 2 identities, got {identities.size}")
 
     ips_cfg = clamp_config(cfg.ips, fs.n)
-    if nbrs is None:
-        nbrs = build_knn(fs, ips_cfg.table_k)
-
-    # subgraphs are static across epochs; build once
-    examples = build_examples(fs, nbrs, ips_cfg)
+    nbrs = build_knn(fs, ips_cfg.table_k)
 
     rng_init = seed_stream(cfg.seed, "init")
     model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, rng_init,
-                       attention_hidden=cfg.attention_hidden, dtype=cfg.dtype,
+                       attention_hidden=cfg.attention_hidden,
                        mean_row_normalized=cfg.mean_row_normalized)
     params = model.parameters()
     velocities = [np.zeros_like(p) for p in params]
 
     rng_shuffle = seed_stream(cfg.seed, "shuffle")
-    decay_epochs = {int(frac * cfg.epochs) for frac in cfg.decay_at}
+    decay_epochs = {int(frac * cfg.epochs) for frac in DECAY_AT}
     lr = cfg.lr
     curve = []
-    for epoch in range(cfg.epochs):
-        if epoch in decay_epochs and epoch > 0:
-            lr *= cfg.lr_decay
-        order = rng_shuffle.permutation(len(examples))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            loss, grads = batch_loss_and_grads(model, fs, batch)
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged: non-finite loss in epoch {epoch} "
-                                 f"at lr={lr:g}")
-            _sgd_step(params, grads, velocities, lr, cfg.momentum)
-            losses.append(loss)
-        curve.append(float(np.mean(losses)))
+    # a diverging run is reported by the checks below, not by numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if epoch in decay_epochs and epoch > 0:
+                lr *= cfg.lr_decay
+            order = rng_shuffle.permutation(fs.n)
+            losses = []
+            for start in range(0, fs.n, cfg.batch_size):
+                batch = build_block(order[start:start + cfg.batch_size], fs, nbrs, ips_cfg)
+                loss, grads = batch_loss_and_grads(model, fs, batch)
+                if not np.isfinite(loss):
+                    raise ValueError(f"training diverged: non-finite loss in epoch {epoch} "
+                                     f"at lr={lr:g}")
+                _sgd_step(params, grads, velocities, lr, cfg.momentum)
+                losses.append(loss)
+            curve.append(float(np.mean(losses)))
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError(f"training diverged: non-finite parameters after epoch {epoch} "
+                         f"at lr={lr:g}")
     return model, curve
 
 

@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
-from linkgcn import dataset, merge, pipeline, trainer
-from linkgcn.cli import main
+from linkgcn import cli, dataset, merge, pipeline, trainer
+from linkgcn.cli import build_parser, main
+from linkgcn.config import PipelineConfig, make_config
 from linkgcn.ips import IpsConfig, build_block
 from linkgcn.knn import build_knn
 
@@ -124,6 +127,72 @@ def test_train_rejects_nonpositive_counts(synth_dir, tmp_path, capsys, flag):
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag[2:].replace("-", "_") in err
     assert not out.exists()
+
+
+def test_train_divergence_is_one_stderr_line(synth_dir, tmp_path, capsys):
+    # without the regime flags the clamp to N - 1 would add a warning line
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "train", "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(synth_dir / "labels.lbls"), "--lr", "1e4",
+                       "--train-k1", "10", "--train-k2", "2", "--train-u", "3",
+                       "--out-dir", str(out))
+    assert code == 1
+    assert err.startswith("error: training diverged") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_clamp_is_one_warning_line(synth_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(synth_dir / "labels.lbls"), "--epochs", "1",
+                       "--out-dir", str(tmp_path / "x"))
+    assert code == 0, err
+    assert err == ("warning: subgraph config clamped to N-1=39: "
+                   "k_per_hop (200, 10) -> (39, 10), u 10 -> 10\n")
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def config_flag_value(action, default):
+    """Command-line tokens for action giving a value other than default, and
+    that value."""
+    if action.nargs == 0:  # a store_false switch such as --no-normalize
+        return [action.option_strings[0]], action.const
+    if action.choices:
+        value = next(c for c in action.choices if c != default)
+    else:
+        value = {int: 7, float: 0.25}[action.type]
+    assert value != default
+    return [action.option_strings[0], str(value)], value
+
+
+@pytest.mark.parametrize("command, required", [
+    ("train", ["--features", "f", "--labels", "l"]),
+    ("cluster", ["--features", "f", "--checkpoint", "m"]),
+    ("baseline", ["--features", "f", "--tau-sim", "0.5"]),
+    ("upper-bound", ["--features", "f", "--labels", "l"])])
+def test_config_flags_reach_the_config(command, required, monkeypatch):
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    defaults = PipelineConfig()
+    argv, expect = [command, *required], {}
+    for action in subcommand_parsers()[command]._actions:
+        if action.dest in fields:
+            tokens, expect[action.dest] = config_flag_value(
+                action, getattr(defaults, action.dest))
+            argv += tokens
+    assert {"seed", "normalize"} <= expect.keys()
+    made = []
+
+    def capture(*args):
+        made.append(make_config(*args))
+        raise ValueError("stop before any work")
+
+    monkeypatch.setattr(cli, "make_config", capture)
+    assert main(argv) == 1
+    assert {name: getattr(made[0], name) for name in expect} == expect
 
 
 def test_train_bad_feature_path_returns_one(tmp_path, capsys):
@@ -289,12 +358,12 @@ def test_upper_bound_table(synth_dir, capsys):
 
 def test_upper_bound_clamps_k_list(synth_dir, capsys):
     # N = 40: k = 64 is clamped to N - 1, as `cluster` clamps its regime
-    with pytest.warns(UserWarning, match="clamped to N-1=39"):
-        code, stdout, err = run(capsys, "upper-bound",
-                                "--features", str(synth_dir / "features.fmat"),
-                                "--labels", str(synth_dir / "labels.lbls"),
-                                "--k-list", "1,64")
+    code, stdout, err = run(capsys, "upper-bound",
+                            "--features", str(synth_dir / "features.fmat"),
+                            "--labels", str(synth_dir / "labels.lbls"),
+                            "--k-list", "1,64")
     assert code == 0, err
+    assert err == "warning: kNN width clamped to N-1=39: k [1, 64] -> [1, 39]\n"
     lines = stdout.strip().splitlines()
     assert lines[0] == "k\tF\tNMI"
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "39"]
@@ -326,11 +395,11 @@ def test_toy2d_csv(tmp_path, capsys):
 def test_baseline_partition(synth_dir, tmp_path, capsys):
     # the default --k 80 exceeds N - 1 = 39 and is clamped
     out = tmp_path / "b"
-    with pytest.warns(UserWarning, match="clamped to N-1=39"):
-        code, stdout, err = run(capsys, "baseline",
-                                "--features", str(synth_dir / "features.fmat"),
-                                "--tau-sim", "0.8", "--out-dir", str(out))
+    code, stdout, err = run(capsys, "baseline",
+                            "--features", str(synth_dir / "features.fmat"),
+                            "--tau-sim", "0.8", "--out-dir", str(out))
     assert code == 0, err
+    assert err == "warning: kNN width clamped to N-1=39: k [80] -> [39]\n"
     assert merge.load_partition(out / "baseline_partition.tsv").shape == (40,)
 
 
@@ -343,10 +412,10 @@ def test_baseline_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     fs = dataset.load_features(synth_dir / "features.fmat")
     dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one)
     out = tmp_path / "b"
-    with pytest.warns(UserWarning, match="clamped"):
-        code, stdout, err = run(capsys, "baseline", "--features", str(one),
-                                "--tau-sim", "0.8", "--out-dir", str(out))
+    code, stdout, err = run(capsys, "baseline", "--features", str(one),
+                            "--tau-sim", "0.8", "--out-dir", str(out))
     assert code == 0, err
+    assert err == "warning: kNN width clamped to N-1=0: k [80] -> [0]\n"
     assert "clusters=1" in stdout
     assert (out / "baseline_partition.tsv").read_text() == "0\t0\n"
 

@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from linkgcn.dataset import (FeatureSet, FormatError, SynthSpec, concat_views,
-                             load_features, load_labels, normalize_rows,
-                             save_features, save_labels, synth_generate)
+from linkgcn.dataset import (FeatureSet, FormatError, SynthSpec, load_features, load_labels,
+                             normalize_rows, save_features, save_labels, synth_generate)
 
 
 def test_fmat_roundtrip(tmp_path):
@@ -157,35 +156,3 @@ def test_synth_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(num_identities=2, samples_per_identity=(3, 5), dim=2,
                   noise_scale=(0.0, 0.1))
-
-
-def test_concat_views_shapes():
-    a = FeatureSet(features=np.ones((3, 2), dtype=np.float32))
-    b = FeatureSet(features=np.full((3, 3), 2.0, dtype=np.float32))
-    out = concat_views(a, b)
-    assert out.features.shape == (3, 5)
-    np.testing.assert_array_equal(out.features[1], [1, 1, 2, 2, 2])
-    assert not out.normalized
-
-
-def test_concat_views_label_mismatch():
-    a = FeatureSet(features=np.ones((3, 2), dtype=np.float32), labels=[0, 1, 2])
-    b = FeatureSet(features=np.ones((3, 2), dtype=np.float32), labels=[0, 9, 2])
-    with pytest.raises(ValueError, match="index 1"):
-        concat_views(a, b)
-
-
-def test_concat_views_n_mismatch():
-    a = FeatureSet(features=np.ones((3, 2), dtype=np.float32))
-    b = FeatureSet(features=np.ones((4, 2), dtype=np.float32))
-    with pytest.raises(ValueError, match="row counts"):
-        concat_views(a, b)
-
-
-def test_concat_then_normalize_unit_rows():
-    rng = np.random.default_rng(5)
-    a = FeatureSet(features=rng.standard_normal((10, 3)).astype(np.float32))
-    b = FeatureSet(features=rng.standard_normal((10, 4)).astype(np.float32))
-    out = normalize_rows(concat_views(a, b))
-    norms = np.linalg.norm(out.features.astype(np.float64), axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-5)

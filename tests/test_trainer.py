@@ -5,13 +5,13 @@ import conftest
 from linkgcn import gcn, trainer
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import IpsConfig, build_block, normalize_node_features
+from linkgcn.ips import IpsConfig, build_block, clamp_config
 from linkgcn.knn import build_knn
 from linkgcn.merge import bfs_cluster, pool_edges
 from linkgcn.metrics import evaluate
 from linkgcn.pipeline import predict_links
-from linkgcn.trainer import (TrainConfig, _sgd_step, batch_loss_and_grads, build_examples,
-                             subgraph_labels, toy2d_trace, train)
+from linkgcn.trainer import (TrainConfig, _sgd_step, batch_loss_and_grads, subgraph_labels,
+                             toy2d_trace, train)
 from oracle_utils import block_diagonal_batch, masked_loss_and_grads
 
 SMALL = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
@@ -49,7 +49,7 @@ def test_subgraph_labels_distractor_neighbors_negative(easy_two_identity_set):
     assert not subgraph_labels(ips, labels).any()
 
 
-# ------------------------------------------------------------ examples
+# -------------------------------------------------------- batch subgraphs
 
 def examples_set():
     spec = SynthSpec(num_identities=5, samples_per_identity=(12, 12), dim=8,
@@ -57,32 +57,14 @@ def examples_set():
     return normalize_rows(synth_generate(spec))
 
 
-def test_build_examples_hold_edge_lists_only():
-    fs = examples_set()
-    cfg = IpsConfig(h=2, k_per_hop=(10, 3), u=3)
-    nbrs = build_knn(fs, 10)
-    examples = build_examples(fs, nbrs, cfg)
-    subgraphs = build_block(range(fs.n), fs, nbrs, cfg)
-    assert [ex.pivot for ex in examples] == list(range(fs.n))
-    for ex, ips in zip(examples, subgraphs):
-        np.testing.assert_array_equal(ex.nodes, ips.nodes)
-        np.testing.assert_array_equal(ex.edges, ips.edges)
-        np.testing.assert_array_equal(ex.labels, subgraph_labels(ips, fs.labels))
-        assert ex.edges.dtype == np.int32 and ex.edges.shape == ips.edges.shape
-        assert all(np.ndim(v) <= 1 for v in (ex.pivot, ex.nodes, ex.labels))
-
-
 # ------------------------------------- one step, against the dense batch
 
 def dense_batch(fs, batch, dtype):
-    """The reference batch: the block-diagonal graph of the examples."""
+    """The reference batch: the block-diagonal graph of the subgraphs."""
     parts = []
-    for ex in batch:
-        s = ex.nodes.size
-        adj = np.zeros((s, s), dtype=np.float32)
-        adj[ex.edges[0], ex.edges[1]] = 1.0
-        feats = normalize_node_features(fs, ex.pivot, ex.nodes).astype(dtype)
-        parts.append((feats, adj, ex.labels, ex.labels.size))
+    for ips in batch:
+        labels = subgraph_labels(ips, fs.labels)
+        parts.append((ips.features.astype(dtype), ips.adjacency, labels, labels.size))
     return block_diagonal_batch(parts)
 
 
@@ -103,9 +85,9 @@ def relative_errors(loss, grads, loss_ref, grads_ref):
 def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, tol, batch_kind):
     fs = examples_set()
     nbrs = build_knn(fs, 10)
-    wide = build_examples(fs, nbrs, IpsConfig(h=2, k_per_hop=(10, 3), u=3))
-    one_hop1 = build_examples(fs, nbrs, IpsConfig(h=2, k_per_hop=(1, 4), u=3))
-    assert all(ex.labels.size == 1 for ex in one_hop1)
+    wide = build_block(range(fs.n), fs, nbrs, IpsConfig(h=2, k_per_hop=(10, 3), u=3))
+    one_hop1 = build_block(range(fs.n), fs, nbrs, IpsConfig(h=2, k_per_hop=(1, 4), u=3))
+    assert all(ips.hop1_count == 1 for ips in one_hop1)
     if batch_kind == "single":
         batch = [wide[7]]
     else:  # subgraphs with a single hop-1 node among larger ones
@@ -117,13 +99,49 @@ def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, to
     assert relative_errors(loss, grads, loss_ref, grads_ref) < tol
 
 
+# ------------------------------- per-batch subgraphs, against a built-once set
+
+def train_on_prebuilt(fs, cfg):
+    """train's loop over subgraphs built once for every pivot up front,
+    stepping in the same shuffled order."""
+    ips_cfg = clamp_config(cfg.ips, fs.n)
+    subgraphs = build_block(range(fs.n), fs, build_knn(fs, ips_cfg.table_k), ips_cfg)
+    model = gcn.init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator,
+                           seed_stream(cfg.seed, "init"))
+    params = model.parameters()
+    velocities = [np.zeros_like(p) for p in params]
+    rng = seed_stream(cfg.seed, "shuffle")
+    lr = cfg.lr
+    for epoch in range(cfg.epochs):
+        if epoch > 0 and epoch in {int(0.5 * cfg.epochs), int(0.75 * cfg.epochs)}:
+            lr *= cfg.lr_decay
+        order = rng.permutation(fs.n)
+        for start in range(0, fs.n, cfg.batch_size):
+            batch = [subgraphs[i] for i in order[start:start + cfg.batch_size]]
+            _, grads = batch_loss_and_grads(model, fs, batch)
+            _sgd_step(params, grads, velocities, lr, cfg.momentum)
+    return model
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_matches_prebuilt_subgraphs(epochs):
+    # batch 7 leaves a ragged last batch; three epochs cross both lr decays
+    fs = examples_set()
+    cfg = TrainConfig(hidden_dims=(6, 5, 4), epochs=epochs, batch_size=7, seed=2,
+                      ips=IpsConfig(h=2, k_per_hop=(10, 3), u=3))
+    model, _ = train(fs, cfg)
+    expect = train_on_prebuilt(fs, cfg)
+    for p, q in zip(model.parameters(), expect.parameters(), strict=True):
+        assert p.tobytes() == q.tobytes()
+
+
 # ------------------------------------------------------- memory regression
 
-def one_capped_epoch():
-    """One default-regime epoch at N = 1,000 with small subgraph overlap:
-    the mean subgraph has about 650 nodes, so dense s x s adjacencies of
-    every pivot would take about 1.7 GB."""
-    spec = SynthSpec(num_identities=100, samples_per_identity=(10, 10), dim=16,
+def one_capped_epoch(n_identities):
+    """One default-regime epoch over n_identities identities of 10 instances
+    with small subgraph overlap: at N = 1,000 the mean subgraph has about 650
+    nodes, so dense s x s adjacencies of every pivot would take about 1.7 GB."""
+    spec = SynthSpec(num_identities=n_identities, samples_per_identity=(10, 10), dim=16,
                      center_spread=1.0, noise_scale=(0.2, 0.4), seed=11)
     fs = normalize_rows(synth_generate(spec))
     cfg = TrainConfig(hidden_dims=(8, 8, 8, 8), epochs=1,
@@ -132,8 +150,19 @@ def one_capped_epoch():
 
 
 def test_one_epoch_fits_in_one_gib():
-    curve, _ = conftest.run_with_address_limit(2**30, one_capped_epoch)
-    assert len(curve) == 1 and np.isfinite(curve[0])
+    peaks = {}
+    for n in (1000, 2000):
+        curve, peaks[n] = conftest.run_with_address_limit(2**30, one_capped_epoch, n // 10)
+        assert len(curve) == 1 and np.isfinite(curve[0])
+    # Training keeps nothing per pivot beyond its batch, so from N = 1,000 to
+    # 2,000 the peak may grow only by what the kNN stage needs: its N x N
+    # float64 similarity block (one block while N < 2,896) and the (N, 200)
+    # neighbor table, built as int64 ids and float64 similarities, then copied
+    # to float32. Caching every pivot's edges would add about 60 KiB a pivot.
+    knn_block = 8 * (2000**2 - 1000**2)
+    table = (8 + 8 + 4) * 200 * (2000 - 1000)
+    slack = 16 * 2**20
+    assert peaks[2000] - peaks[1000] <= knn_block + table + slack, peaks
 
 
 # ------------------------------------------------------------------ train
@@ -290,3 +319,23 @@ def test_train_stops_at_non_finite_loss(easy_two_identity_set, monkeypatch):
     with pytest.raises(ValueError, match="non-finite loss in epoch 0"):
         train(easy_two_identity_set, SMALL)
     assert len(calls) == 3
+
+
+def test_train_rejects_non_finite_parameters_after_last_step(easy_two_identity_set,
+                                                             monkeypatch):
+    # every loss is finite (a non-finite one raises another error), but the
+    # last step leaves an infinite weight
+    steps = -(-easy_two_identity_set.n // SMALL.batch_size) * SMALL.epochs
+    calls = []
+    real_step = trainer._sgd_step
+
+    def overflowing(params, *args):
+        calls.append(1)
+        real_step(params, *args)
+        if len(calls) == steps:
+            params[0][0, 0] = np.inf
+
+    monkeypatch.setattr(trainer, "_sgd_step", overflowing)
+    with pytest.raises(ValueError, match=f"non-finite parameters after epoch {SMALL.epochs - 1}"):
+        train(easy_two_identity_set, SMALL)
+    assert len(calls) == steps
