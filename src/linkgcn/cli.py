@@ -90,14 +90,7 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
-    train_cfg = trainer.TrainConfig(
-        aggregator=cfg.aggregator, hidden_dims=tuple(cfg.hidden_dims),
-        attention_hidden=cfg.attention_hidden,
-        mean_row_normalized=cfg.mean_row_normalize,
-        ips=regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        momentum=cfg.momentum, lr_decay=cfg.lr_decay, seed=cfg.seed)
-    model, curve = trainer.train(fs, train_cfg)
+    model, curve = trainer.train(fs, cfg.train_config())
     out = _out_dir(args)
     gcn.save_model(model, out / "model.gcnm")
     with open(out / "loss.csv", "w") as fh:
@@ -227,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cluster", help="cluster a collection with a trained model")
     _add_common(p, features=True, out_dir=True)
     p.add_argument("--checkpoint", required=True, help="GCNM model file")
-    p.add_argument("--workers", type=int, default=None, help="threads scoring pivots")
+    p.add_argument("--workers", type=int, default=None,
+                   help="threads scoring pivots (default 0: usable cores // BLAS threads)")
     p.add_argument("--merge", choices=MERGE_STRATEGIES)
     p.add_argument("--tau", type=float)
     p.add_argument("--tau0", type=float)

@@ -55,7 +55,7 @@ class PipelineConfig:
     max_size: int = 600
     # misc
     seed: int = 0
-    workers: int = 1
+    workers: int = 0          # pivot-scoring threads; 0 derives them from the cores
 
     def __post_init__(self):
         if self.merge not in MERGE_STRATEGIES:
@@ -75,9 +75,24 @@ class PipelineConfig:
             raise ValueError(f"hidden_dims must be one or more widths >= 1, "
                              f"got {self.hidden_dims!r}")
         for name in ("max_size", "hops", "train_k1", "train_k2", "train_u",
-                     "test_k1", "test_k2", "test_u", "attention_hidden", "workers"):
+                     "test_k1", "test_k2", "test_u", "attention_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        self.train_config()  # runs TrainConfig's optimizer checks now, before any work
+
+    def train_config(self):
+        """The trainer.TrainConfig of this config's model, train regime and optimizer."""
+        from linkgcn.ips import regime_config  # here: see the gcn import above
+        from linkgcn.trainer import TrainConfig
+        return TrainConfig(
+            aggregator=self.aggregator, hidden_dims=tuple(self.hidden_dims),
+            attention_hidden=self.attention_hidden,
+            mean_row_normalized=self.mean_row_normalize,
+            ips=regime_config(self.train_k1, self.train_k2, self.train_u, self.hops),
+            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+            momentum=self.momentum, lr_decay=self.lr_decay, seed=self.seed)
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,

@@ -275,7 +275,7 @@ def test_criterion_9_link_prediction_scaling():
 
 # --------------------------------------------------------- criterion 10
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     assert cli_main(["synth", "--ids", "6", "--per-id", "15:15", "--dim", "8",
                      "--noise", "0.05:0.05", "--seed", "0",
@@ -285,15 +285,19 @@ def test_criterion_10_determinism(tmp_path, capsys):
                      "--labels", str(data / "labels.lbls"), "--epochs", "3",
                      "--train-k1", "12", "--train-k2", "2", "--train-u", "3",
                      "--out-dir", str(run)]) == 0
+    # the last run passes no --workers: one BLAS thread leaves every usable
+    # core to a pivot thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     blobs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
+    for tag, workers in (("a", ("--workers", "1")), ("b", ("--workers", "1")),
+                         ("c", ("--workers", "4")), ("d", ())):
         out = tmp_path / tag
         assert cli_main(["cluster", "--features", str(data / "features.fmat"),
                          "--checkpoint", str(run / "model.gcnm"),
                          "--test-k1", "12", "--test-k2", "2", "--test-u", "3",
-                         "--workers", str(workers), "--out-dir", str(out)]) == 0
+                         *workers, "--out-dir", str(out)]) == 0
         blobs.append((out / "partition.tsv").read_bytes())
     capsys.readouterr()
-    ok = blobs[0] == blobs[1] == blobs[2]
+    ok = blobs[0] == blobs[1] == blobs[2] == blobs[3]
     report(10, ok, "partition files byte-identical across two runs and "
-                   "worker counts {1, 4}")
+                   "worker counts {1, 4, derived}")

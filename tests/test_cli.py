@@ -105,6 +105,8 @@ def test_train_bad_model_config_fails_before_knn(synth_dir, tmp_path, capsys, mo
     def no_work(*args, **kwargs):
         raise AssertionError("a bad config reached training")
 
+    # the whole config is checked when it is made, before any file is read
+    monkeypatch.setattr(dataset, "load_features", no_work)
     monkeypatch.setattr(trainer, "build_knn", no_work)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(config_text)
@@ -245,7 +247,7 @@ def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
 # ------------------------------------------------------------------- eval
 
 @pytest.mark.parametrize("config_text, flags", [
-    ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5"))])
+    ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5")), ("", ("--workers", "-1"))])
 def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_path,
                                                     capsys, monkeypatch, config_text,
                                                     flags):

@@ -1,11 +1,16 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
+import conftest
 from linkgcn import pipeline
 from linkgcn.config import seed_stream
-from linkgcn.dataset import FeatureSet
+from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
 from linkgcn.gcn import init_model
-from linkgcn.ips import IpsConfig, pivot_blocks
+from linkgcn.ips import BLOCK_CANDIDATES, IpsConfig, pivot_blocks
+from linkgcn.knn import build_knn
 
 
 class SerialExecutor:
@@ -34,33 +39,119 @@ def scored(synth_1k_set, synth_1k_nbrs):
     return model, pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS)
 
 
+def set_blas_env(monkeypatch, env):
+    """Exactly the BLAS thread variables in env, whatever the runner has set."""
+    for var in pipeline.BLAS_THREAD_VARS:
+        if var in env:
+            monkeypatch.setenv(var, env[var])
+        else:
+            monkeypatch.delenv(var, raising=False)
+
+
+def derived(env, cores, expect, name):
+    """A case with no worker count, so the count is usable cores // BLAS pool."""
+    return pytest.param(env, cores, expect, id=f"derived-{name}")
+
+
 @pytest.mark.parametrize("workers, cores, expect", [
     (10**6, 3, [3]),     # capped by the usable cores
     (2, 64, [2]),        # by the worker count
     (10**6, 64, None),   # by the block count, set below
     (1, 64, []),         # one worker starts no pool
+    # the BLAS pool is every usable core unless a variable names a positive size
+    derived({}, 4, [], "no-blas-variable"),
+    derived({"OPENBLAS_NUM_THREADS": "1"}, 4, [4], "openblas-1"),
+    derived({"OPENBLAS_NUM_THREADS": "2"}, 4, [2], "openblas-2"),
+    derived({"OPENBLAS_NUM_THREADS": "3"}, 4, [], "openblas-3"),
+    derived({"OPENBLAS_NUM_THREADS": "99"}, 4, [], "openblas-99"),
+    derived({"OPENBLAS_NUM_THREADS": "1"}, 64, None, "openblas-1-many-cores"),
+    derived({"OPENBLAS_NUM_THREADS": "0"}, 4, [], "openblas-0"),
+    derived({"OPENBLAS_NUM_THREADS": "junk"}, 4, [], "openblas-junk"),
+    derived({"OPENBLAS_NUM_THREADS": "-2"}, 4, [], "openblas-negative"),
+    derived({"OMP_NUM_THREADS": "1"}, 4, [4], "omp-1"),
+    derived({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, [2], "zero-then-omp-2"),
+    derived({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, [4], "goto-before-omp"),
+    derived({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, [], "openblas-first"),
 ])
 def test_scoring_threads_are_bounded(synth_1k_set, synth_1k_nbrs, scored, monkeypatch,
                                      workers, cores, expect):
+    # an int is an explicit worker count; a dict is the BLAS environment of a
+    # run that passes none
     model, reference = scored
     blocks = len(pivot_blocks(synth_1k_set.n, IPS))
     assert 3 < blocks < 64
     SerialExecutor.created = []
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialExecutor)
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, workers=workers)
+    set_blas_env(monkeypatch, workers if isinstance(workers, dict) else {})
+    count = {} if isinstance(workers, dict) else {"workers": workers}
+    edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, **count)
     assert SerialExecutor.created == ([blocks] if expect is None else expect)
     for name in ("i", "j", "w"):
         assert getattr(edges, name).tobytes() == getattr(reference, name).tobytes()
 
 
 def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, monkeypatch):
-    # four real threads over 16 blocks, whatever the machine's core count
+    # four real threads over 16 blocks, whatever the machine's core count:
+    # asked for, and derived from one BLAS thread on four usable cores
     model, reference = scored
+    created = []
+
+    class RecordingExecutor(pipeline.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(4)))
-    edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, workers=4)
-    for name in ("i", "j", "w"):
-        assert getattr(edges, name).tobytes() == getattr(reference, name).tobytes()
+    set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+    try:
+        for count in ({"workers": 4}, {}):
+            edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, **count)
+            for name in ("i", "j", "w"):
+                assert getattr(edges, name).tobytes() == getattr(reference, name).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert created == [4, 4]
+
+
+WIDTHS = [64, 256, 256, 128, 64]  # the default model at D = 64
+
+
+def capped_scoring(workers):
+    """Digest of the edges predict_links scores on `workers` threads, on as
+    many pretend usable cores: 1,172 instances at D = 64 in the test regime,
+    with the default mean model. Replaces os.sched_getaffinity, so it runs
+    only in run_with_address_limit's child."""
+    spec = SynthSpec(num_identities=20, samples_per_identity=(20, 100), dim=WIDTHS[0],
+                     center_spread=1.0, noise_scale=(0.02, 0.2), outlier_fraction=0.1,
+                     seed=5)
+    fs = normalize_rows(synth_generate(spec))
+    model = init_model(WIDTHS, "mean", seed_stream(0, "init"))
+    nbrs = build_knn(fs, IPS.table_k)
+    pipeline.os.sched_getaffinity = lambda pid: set(range(workers))
+    edges = pipeline.predict_links(fs, nbrs, model, IPS, workers=workers)
+    return hashlib.sha256(edges.i.tobytes() + edges.j.tobytes() + edges.w.tobytes()).hexdigest()
+
+
+def test_extra_workers_cost_less_than_a_block_each():
+    digests, peaks = {}, {}
+    for workers in (1, 4):
+        digests[workers], peaks[workers] = conftest.run_with_address_limit(
+            2**31, capped_scoring, workers)
+    assert digests[1] == digests[4]
+    # A worker holds one block's subgraphs and one pivot's forward pass at a
+    # time. For the regime's largest subgraph (80 + 80 * 5 nodes) that is the
+    # block's float32 node features, four int64 wiring arrays of
+    # BLOCK_CANDIDATES, the dense mixing matrix, and every layer's input,
+    # concatenation and output: about 18 MiB.
+    nodes = 80 + 80 * 5
+    block = 64 * nodes * WIDTHS[0] * 4 + 4 * BLOCK_CANDIDATES * 8
+    layers = sum(3 * d_in + d_out for d_in, d_out in zip(WIDTHS, WIDTHS[1:]))
+    forward = 4 * nodes * (nodes + layers)
+    assert peaks[4] - peaks[1] < 3 * (block + forward), peaks
 
 
 @pytest.mark.parametrize("merge", ["propagate", "bfs"])
