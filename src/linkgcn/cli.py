@@ -48,6 +48,14 @@ def _maybe_normalize(fs: FeatureSet, cfg) -> FeatureSet:
     return dataset.normalize_rows(fs) if cfg.normalize else fs
 
 
+def _parse_k_list(text: str) -> list:
+    """--k-list as kNN widths, each an integer >= 1 like baseline's --k."""
+    tokens = text.split(",")
+    if not all(tok.strip().isdecimal() and int(tok) >= 1 for tok in tokens):
+        raise ValueError(f"--k-list must be comma-separated integers >= 1, got {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _clamped_knn(fs: FeatureSet, ks: list):
     """Each kNN width in ks clamped to N-1, warning once when any is, and the
     table for the widest. A one-instance collection has no neighbors: its
@@ -136,9 +144,10 @@ def cmd_eval(args):
 
 
 def cmd_upper_bound(args):
+    ks = _parse_k_list(args.k_list)
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
-    k_list, nbrs = _clamped_knn(fs, [int(tok) for tok in args.k_list.split(",")])
+    k_list, nbrs = _clamped_knn(fs, ks)
     print("k\tF\tNMI")
     for k, report in metrics.knn_upper_bound(fs, nbrs, k_list):
         print(f"{k}\t{report.bcubed_f:.4f}\t{report.nmi:.4f}")
@@ -221,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, features=True, out_dir=True)
     p.add_argument("--checkpoint", required=True, help="GCNM model file")
     p.add_argument("--workers", type=int, default=None,
-                   help="threads scoring pivots (default 0: usable cores // BLAS threads)")
+                   help="threads selecting the kNN top-k and scoring pivots "
+                        "(default 0: usable cores // BLAS threads)")
     p.add_argument("--merge", choices=MERGE_STRATEGIES)
     p.add_argument("--tau", type=float)
     p.add_argument("--tau0", type=float)

@@ -55,7 +55,7 @@ class PipelineConfig:
     max_size: int = 600
     # misc
     seed: int = 0
-    workers: int = 0          # pivot-scoring threads; 0 derives them from the cores
+    workers: int = 0          # kNN and pivot-scoring threads; 0 derives them from the cores
 
     def __post_init__(self):
         if self.merge not in MERGE_STRATEGIES:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,40 @@ class NeighborTable:
         return self.indices.shape[1]
 
 
-def build_knn(fs: FeatureSet, k: int) -> NeighborTable:
+# The variables OpenBLAS reads its thread count from at start-up, first match wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def idle_core_workers(cores: int) -> int:
+    """Worker threads that fill the cores the BLAS pool leaves idle: cores //
+    pool size. As at OpenBLAS start-up, the pool is the first positive integer
+    among BLAS_THREAD_VARS, capped at cores, or all cores if none is set."""
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            return cores // min(int(value), cores)
+    return 1
+
+
+def thread_count(workers: int) -> int:
+    """Threads for a `workers` setting: as given, or for 0 as many as the BLAS
+    pool leaves cores idle (idle_core_workers), which is 1 when BLAS already
+    fills the cores; never more than the usable cores."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 derives the count), got {workers}")
+    cores = len(os.sched_getaffinity(0))
+    return min(workers or idle_core_workers(cores), cores)
+
+
+def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     """Exact top-k neighbors of every instance; O(N^2 D) brute force.
 
     Ordering is by cosine similarity whether or not the rows were
-    pre-normalized, with ties broken by ascending instance id.
+    pre-normalized, with ties broken by ascending instance id. Each row
+    block's top-k is selected on thread_count(workers) threads. Worker-count
+    invariant.
     """
+    threads = thread_count(workers)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= fs.n:
@@ -57,6 +86,6 @@ def build_knn(fs: FeatureSet, k: int) -> NeighborTable:
     if np.any(norms == 0.0):
         raise ValueError("zero-norm row; cosine ordering undefined")
     unit /= norms[:, None]
-    idx, sim = _kernels.topk_cosine(unit, k)
+    idx, sim = _kernels.topk_cosine(unit, k, workers=threads)
     return NeighborTable(indices=idx, similarities=sim.astype(np.float32))
 

@@ -3,7 +3,6 @@ with per-stage wall-time accounting."""
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
-from linkgcn.knn import NeighborTable, build_knn
+from linkgcn.knn import NeighborTable, build_knn, thread_count
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, pool_edges, propagate_cluster
 
 
@@ -38,29 +37,13 @@ def _check_width(fs: FeatureSet, model: GcnModel) -> None:
         raise ValueError(f"model expects D={model.layer_dims[0]}, features have D={fs.dim}")
 
 
-# The variables OpenBLAS reads its thread count from at start-up, first match wins.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def idle_core_workers(cores: int) -> int:
-    """Worker threads that fill the cores the BLAS pool leaves idle: cores //
-    pool size. As at OpenBLAS start-up, the pool is the first positive integer
-    among BLAS_THREAD_VARS, capped at cores, or all cores if none is set."""
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            return cores // min(int(value), cores)
-    return 1
-
-
 def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 0) -> WeightedEdgeSet:
     """Score pivot/1-hop-neighbor linkage for every instance and pool the
     results into one undirected edge set. Subgraphs are built a block of
-    pivots at a time, and threads split the blocks: `workers` of them, or
-    with workers=0 as many as the BLAS pool leaves cores idle
-    (idle_core_workers), which is 1 when BLAS already fills the cores. Never
-    more threads than blocks or usable cores. Worker-count invariant."""
+    pivots at a time, and thread_count(workers) threads split the blocks,
+    never more threads than blocks. Worker-count invariant."""
+    threads = thread_count(workers)
     _check_width(fs, model)
     ips_cfg = clamp_config(ips_cfg, fs.n)
     blocks = pivot_blocks(fs.n, ips_cfg)
@@ -72,8 +55,7 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
             hop1[ips.pivot] = ips.nodes[: ips.hop1_count]
             probs[ips.pivot] = forward(model, ips)
 
-    cores = len(os.sched_getaffinity(0))
-    threads = min(workers or idle_core_workers(cores), len(blocks), cores)
+    threads = min(threads, len(blocks))
     if threads <= 1:
         for pivots in blocks:
             run_block(pivots)
@@ -87,17 +69,19 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
             merge: str = "propagate", tau: float = 0.5, tau0: float = 0.5,
             dtau: float = 0.05, max_size: int = 600, workers: int = 0):
     """Full pipeline. Returns (assignment, edges, TimingReport). `workers`
-    threads score the pivots; 0 derives the count as predict_links does.
+    threads select the kNN top-k and score the pivots; 0 derives the count
+    from the cores the BLAS pool leaves idle (knn.thread_count).
 
     A one-instance collection has no neighbor to link: it builds no kNN
     table, scores no pivot, and merges an empty edge set into one cluster."""
+    workers = thread_count(workers)
     _check_width(fs, model)
     t0 = time.perf_counter()
     if fs.n == 1:
         edges = pool_edges([], [], [])
         t1 = t2 = time.perf_counter()
     else:
-        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k)
+        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k, workers=workers)
         t1 = time.perf_counter()
         edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
         t2 = time.perf_counter()

@@ -371,6 +371,21 @@ def test_upper_bound_clamps_k_list(synth_dir, capsys):
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "39"]
 
 
+@pytest.mark.parametrize("k_list", ["-2,3", "3,,4", "0", "2,x"])
+def test_upper_bound_bad_k_list_fails_before_reading(synth_dir, capsys, monkeypatch, k_list):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a bad --k-list reached the feature file")
+
+    monkeypatch.setattr(dataset, "load_features", no_read)
+    code, stdout, err = run(capsys, "upper-bound",
+                            "--features", str(synth_dir / "features.fmat"),
+                            "--labels", str(synth_dir / "labels.lbls"),
+                            f"--k-list={k_list}")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: --k-list") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ toy2d
 
 def test_toy2d_csv(tmp_path, capsys):

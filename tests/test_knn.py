@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from linkgcn import _kernels
+from linkgcn import _kernels, knn
 from linkgcn.dataset import FeatureSet, normalize_rows
 from linkgcn.knn import NeighborTable, build_knn
 from oracle_utils import topk_cosine_oracle
@@ -68,6 +69,40 @@ def test_build_knn_deterministic(small_random_set):
     assert a.similarities.tobytes() == b.similarities.tobytes()
 
 
+def test_build_knn_rejects_negative_workers(small_random_set):
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        build_knn(small_random_set, 5, workers=-1)
+
+
+@pytest.mark.parametrize("workers, env, cores, expect", [
+    (0, {}, 4, 1),                              # BLAS fills the cores
+    (0, {"OPENBLAS_NUM_THREADS": "1"}, 4, 4),   # derived: cores // BLAS pool
+    (0, {"OMP_NUM_THREADS": "2"}, 4, 2),
+    (3, {}, 4, 3),                              # asked for
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),   # never more than the cores
+])
+def test_build_knn_selection_threads(small_random_set, monkeypatch, workers, env, cores,
+                                     expect):
+    for var in knn.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    seen = []
+    kernel = _kernels.topk_cosine
+
+    def recording(unit, k, workers=1):
+        seen.append(workers)
+        return kernel(unit, k, workers=workers)
+
+    monkeypatch.setattr(_kernels, "topk_cosine", recording)
+    table = build_knn(small_random_set, 5, workers=workers)
+    assert seen == [expect]
+    reference = build_knn(small_random_set, 5, workers=1)
+    assert table.indices.tobytes() == reference.indices.tobytes()
+    assert table.similarities.tobytes() == reference.similarities.tobytes()
+
+
 def test_neighbor_table_validation():
     with pytest.raises(ValueError, match="k="):
         NeighborTable(indices=np.zeros((3, 3), np.int64),
@@ -93,14 +128,40 @@ def unit_rows(rng, n, d, decimals=None, duplicates=0):
     (2897, 8, 1, 200, 80),   # two row blocks
     (2897, 16, None, 0, 80),
     (4500, 8, 1, 300, 80),   # two full row blocks and a partial one: the block buffer is reused
+    (1200, 4, 1, 100, 1199),  # k = N-1 over several chunks
+    (40, 3, 1, 10, 5),       # N far below one chunk: a single chunk
 ])
 def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
-    idx, sim = _kernels.topk_cosine(unit, k)
     want_idx, want_sim = topk_cosine_oracle(unit, k)
-    assert idx.dtype == want_idx.dtype and sim.dtype == want_sim.dtype
-    assert np.array_equal(idx, want_idx)
-    assert sim.tobytes() == want_sim.tobytes()
+    for workers in (1, 2, 3):
+        idx, sim = _kernels.topk_cosine(unit, k, workers=workers)
+        assert idx.dtype == want_idx.dtype and sim.dtype == want_sim.dtype
+        assert np.array_equal(idx, want_idx), workers
+        assert sim.tobytes() == want_sim.tobytes(), workers
+
+
+def test_topk_cosine_chunk_boundary_inside_tied_rows():
+    # the 2k rows around the first chunk boundary are copies of one row, so
+    # each ties at its k-th neighbor and takes the per-row rule
+    n, k = 1500, 10
+    edge = (1 << 20) // (8 * n)  # rows per selection chunk
+    assert n > 2 * edge
+    unit = unit_rows(np.random.default_rng(n), n, 8)
+    unit[edge - k:edge + k] = unit[edge - k]
+    want_idx, want_sim = topk_cosine_oracle(unit, k)
+    # the tied rows list the lowest-id copies of themselves
+    copies = np.arange(edge - k, edge + k)
+    assert list(want_idx[edge]) == [c for c in copies if c != edge][:k]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+    try:
+        for workers in (1, 2, 3):
+            idx, sim = _kernels.topk_cosine(unit, k, workers=workers)
+            assert np.array_equal(idx, want_idx), workers
+            assert sim.tobytes() == want_sim.tobytes(), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_build_knn_matches_lexsort_oracle_on_ties():
@@ -118,15 +179,17 @@ def test_build_knn_matches_lexsort_oracle_on_ties():
 
 def test_topk_cosine_scratch_is_one_block():
     # five row blocks of 1,398 rows: a block-wide partition or comparison, or a
-    # new similarity block per row block, would hold a second ~64 MiB block
+    # new similarity block per row block, would hold a second ~64 MiB block.
+    # The slack covers each thread's ~1 MiB of chunk scratch.
     n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
     block_bytes = min(n, (64 << 20) // (8 * n)) * n * 8
     out_bytes = 2 * n * k * 8
-    tracemalloc.start()
-    try:
-        _kernels.topk_cosine(unit, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= block_bytes + out_bytes + (8 << 20), peak / 2**20
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            _kernels.topk_cosine(unit, k, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_bytes + out_bytes + (8 << 20), (workers, peak / 2**20)

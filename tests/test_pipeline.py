@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import conftest
-from linkgcn import pipeline
+from linkgcn import knn, pipeline
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
 from linkgcn.gcn import init_model
@@ -41,7 +41,7 @@ def scored(synth_1k_set, synth_1k_nbrs):
 
 def set_blas_env(monkeypatch, env):
     """Exactly the BLAS thread variables in env, whatever the runner has set."""
-    for var in pipeline.BLAS_THREAD_VARS:
+    for var in knn.BLAS_THREAD_VARS:
         if var in env:
             monkeypatch.setenv(var, env[var])
         else:
@@ -82,7 +82,7 @@ def test_scoring_threads_are_bounded(synth_1k_set, synth_1k_nbrs, scored, monkey
     assert 3 < blocks < 64
     SerialExecutor.created = []
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(cores)))
     set_blas_env(monkeypatch, workers if isinstance(workers, dict) else {})
     count = {} if isinstance(workers, dict) else {"workers": workers}
     edges = pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, **count)
@@ -103,7 +103,7 @@ def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, mon
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(4)))
     set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
@@ -131,7 +131,7 @@ def capped_scoring(workers):
     fs = normalize_rows(synth_generate(spec))
     model = init_model(WIDTHS, "mean", seed_stream(0, "init"))
     nbrs = build_knn(fs, IPS.table_k)
-    pipeline.os.sched_getaffinity = lambda pid: set(range(workers))
+    knn.os.sched_getaffinity = lambda pid: set(range(workers))
     edges = pipeline.predict_links(fs, nbrs, model, IPS, workers=workers)
     return hashlib.sha256(edges.i.tobytes() + edges.j.tobytes() + edges.w.tobytes()).hexdigest()
 
@@ -169,3 +169,37 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
     assert isinstance(timing, pipeline.TimingReport)
     with pytest.raises(ValueError, match="model expects D=4"):
         pipeline.cluster(FeatureSet(features=np.ones((1, 3), np.float32)), model, IPS)
+
+
+def test_negative_workers_are_rejected(synth_1k_set, synth_1k_nbrs, scored):
+    # -1 would otherwise pass `workers or derived` and run serially
+    model, _ = scored
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        pipeline.predict_links(synth_1k_set, synth_1k_nbrs, model, IPS, workers=-1)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        pipeline.cluster(synth_1k_set, model, IPS, workers=-1)
+    one = FeatureSet(features=np.ones((1, 16), np.float32))
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        pipeline.cluster(one, model, IPS, workers=-1)
+
+
+def test_cluster_gives_both_stages_one_thread_count(synth_1k_set, scored, monkeypatch):
+    # --workers, or the count derived from one BLAS thread on four usable
+    # cores, reaches the kNN stage and link scoring alike
+    model, _ = scored
+    seen = []
+
+    def recording(stage, fn):
+        def wrapper(*args, workers):
+            seen.append((stage, workers))
+            return fn(*args, workers=workers)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "build_knn", recording("knn", build_knn))
+    monkeypatch.setattr(pipeline, "predict_links", recording("links", pipeline.predict_links))
+    monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(4)))
+    set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+    for workers in (0, 1, 3):
+        pipeline.cluster(synth_1k_set, model, IPS, workers=workers)
+    assert seen == [("knn", 4), ("links", 4), ("knn", 1), ("links", 1),
+                    ("knn", 3), ("links", 3)]
