@@ -170,6 +170,8 @@ def cmd_toy2d(args):
 
 
 def cmd_baseline(args):
+    if args.k < 1:
+        raise ValueError(f"--k must be an integer >= 1, got {args.k}")
     merge.check_tau_sim(args.tau_sim)
     cfg = make_config(args.config, _config_overrides(args))
     fs = _maybe_normalize(_load_feature_set(args), cfg)

@@ -1,4 +1,4 @@
-"""Feature collections: binary file IO, synthesis, normalization, view fusion."""
+"""Feature collections: binary file IO, synthesis and row normalization."""
 
 from __future__ import annotations
 

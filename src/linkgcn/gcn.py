@@ -1,8 +1,11 @@
 """Graph-convolution link predictor with hand-written reverse-mode gradients.
 
 Each layer computes Y = relu([X | G X] W) where G mixes neighbor features.
-Three aggregation matrices are supported: degree-normalized mean, cosine
-softmax weights, and a learned attention MLP over edge endpoint pairs.
+The three aggregators differ only in how they weigh each edge (i, j) of the
+row-major edge list, and G[i, j] is that weight: `mean` uses the degree
+normalization, fixed per graph; `weighted` and `attention` take a softmax
+over each node's edges of a per-layer score, the endpoints' cosine or a
+learned MLP's output on the endpoint pair.
 A linear 2-class head plus softmax turns the last layer's node features
 into linkage likelihoods; loss and predictions cover 1-hop nodes only.
 """
@@ -91,29 +94,26 @@ def init_model(dims, aggregator: str, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# aggregation matrices
+# edge weights: every aggregator gives each edge (i, j) of the row-major edge
+# list one weight, and G[i, j] is that weight
 
-def mean_mixing(n: int, ei: np.ndarray, ej: np.ndarray, dtype,
-                row_normalized: bool = False) -> np.ndarray:
-    """Degree-normalized mixing matrix of the n-node graph with edges (ei, ej):
-    G[i, j] = 1 / sqrt(deg_i deg_j), or 1 / deg_i when row-normalized.
-    Isolated nodes get all-zero rows."""
-    deg = np.bincount(ei, minlength=n).astype(dtype)
-    inv = np.zeros(n, dtype=dtype)
-    has = deg > 0
-    inv[has] = 1.0 / (deg[has] if row_normalized else np.sqrt(deg[has]))
-    G = np.zeros((n, n), dtype=dtype)
-    G[ei, ej] = inv[ei] if row_normalized else inv[ei] * inv[ej]
-    return G
-
-
-def _edge_segments(ei: np.ndarray, ej: np.ndarray, n: int):
-    """An edge list sorted row-major, with each node's count of out-edges and
-    where the nonempty rows start."""
+def _edge_segments(ei: np.ndarray, n: int):
+    """Each node's count of out-edges in the row-major edge list ei, which
+    nodes have any, and where their runs of edges start."""
     counts = np.bincount(ei, minlength=n)
     nz = counts > 0
-    starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nz]
-    return ei, ej, counts, nz, starts
+    starts = (np.cumsum(counts) - counts)[nz]
+    return counts, nz, starts
+
+
+def _mean_weights(ei, ej, counts, dtype, row_normalized):
+    """`mean` weights from the out-degrees `counts`: 1 / sqrt(deg_i deg_j),
+    or 1 / deg_i when row-normalized. They do not depend on X."""
+    deg = counts.astype(dtype)
+    inv = np.zeros(deg.shape, dtype=dtype)
+    has = deg > 0
+    inv[has] = 1.0 / (deg[has] if row_normalized else np.sqrt(deg[has]))
+    return inv[ei] if row_normalized else inv[ei] * inv[ej]
 
 
 def _segment_softmax(vals, counts, nz, starts):
@@ -167,66 +167,40 @@ def _mlp_backward(dscores, ei, ej, cache, X, w1, w2):
     return dX, (C.T @ dH, (H.T @ dscores)[:, None])
 
 
-def _softmax_forward(X, edges, mlp=None):
-    """Softmax over each node's neighbors of one score per edge: the cosine of
-    its endpoints, or the attention MLP's output when mlp = (w1, w2)."""
-    ei, ej, counts, nz, starts = edges
-    G = np.zeros((X.shape[0], X.shape[0]), dtype=X.dtype)
-    if ei.size == 0:
-        return G, (edges, None, None)
-    if mlp is None:
-        scores, score_cache = _cosine_scores(X, ei, ej)
-    else:
-        scores, score_cache = _mlp_scores(X, ei, ej, *mlp)
-    w = _segment_softmax(scores, counts, nz, starts)
-    G[ei, ej] = w
-    return G, (edges, w, score_cache)
-
-
-def _softmax_backward(dM, X, cache, mlp=None):
-    """Gradient reaching X, and the MLP when given, through the weights of
-    M = G X. Returns (dX, (dw1, dw2) or None)."""
-    (ei, ej, counts, nz, starts), w, score_cache = cache
-    if ei.size == 0:
-        return np.zeros_like(X), None if mlp is None else tuple(np.zeros_like(p) for p in mlp)
-    dw = np.sum(dM[ei] * X[ej], axis=1)          # dL/dG at each edge
-    dscores = _segment_softmax_backward(dw, w, counts, nz, starts)
-    if mlp is None:
-        return _cosine_backward(dscores, ei, ej, score_cache), None
-    return _mlp_backward(dscores, ei, ej, score_cache, X, *mlp)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
-
-def _mlp(model: GcnModel, layer: int):
-    return model.attention_mlp[layer] if model.aggregator == "attention" else None
-
 
 def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarray,
                    head_rows: int | None = None):
     """Every layer and the head over the graph with edges (ei, ej), sorted
     row-major. The last layer and the head cover only the first head_rows
     nodes (all of them by default). Returns (logits, last layer's output,
-    per-layer caches)."""
+    per-layer caches (X, G, C, Z, softmax cache or None))."""
     X = np.ascontiguousarray(X0, dtype=model.dtype)
     n = X.shape[0]
     last = len(model.layer_weights) - 1
+    segs = _edge_segments(ei, n)
+    mean_w = None
     if model.aggregator == "mean":
-        g_mean = mean_mixing(n, ei, ej, model.dtype, model.mean_row_normalized)
-    else:
-        edges = _edge_segments(ei, ej, n)
+        mean_w = _mean_weights(ei, ej, segs[0], model.dtype, model.mean_row_normalized)
     caches = []
     for l, W in enumerate(model.layer_weights):
-        if model.aggregator == "mean":
-            G, agg_cache = g_mean, None
-        else:
-            G, agg_cache = _softmax_forward(X, edges, _mlp(model, l))
+        w, soft = mean_w, None
+        if mean_w is None:
+            # softmax over each node's out-edges of the edge's cosine or attention score
+            mlp = model.attention_mlp[l] if model.attention_mlp is not None else None
+            scores, score_cache = (_cosine_scores(X, ei, ej) if mlp is None
+                                   else _mlp_scores(X, ei, ej, *mlp))
+            w = _segment_softmax(scores, *segs)
+            soft = (ei, ej, segs, w, score_cache)
+        if l == 0 or soft is not None:  # `mean` weights ignore X: one G serves every layer
+            G = np.zeros((n, n), dtype=model.dtype)
+            G[ei, ej] = w
         r = head_rows if l == last else None
         C = np.concatenate([X[:r], G[:r] @ X], axis=1)
         Z = C @ W
         Y = np.maximum(Z, 0)
-        caches.append((X, G, C, Z, agg_cache))
+        caches.append((X, G, C, Z, soft))
         X = Y
     logits = X @ model.head_weight + model.head_bias
     return logits, X, caches
@@ -273,7 +247,7 @@ def _backward(model: GcnModel, caches, last, dlogits) -> list:
     d_layers = [None] * len(model.layer_weights)
     d_attn = ([None] * len(model.layer_weights)) if model.attention_mlp is not None else None
     for l in range(len(model.layer_weights) - 1, -1, -1):
-        X, G, C, Z, agg_cache = caches[l]
+        X, G, C, Z, soft = caches[l]
         dZ = dY * (Z > 0)
         d_layers[l] = C.T @ dZ
         if l == 0 and model.attention_mlp is None:
@@ -283,13 +257,18 @@ def _backward(model: GcnModel, caches, last, dlogits) -> list:
         dM = dC[:, d:]
         dY = G[:r].T @ dM
         dY[:r] += dC[:, :d]
-        if model.aggregator != "mean":
+        if soft is not None:  # softmax weights: X also reaches G through the edge scores
+            ei, ej, segs, w, score_cache = soft
             if r < X.shape[0]:
                 dM = np.concatenate([dM, np.zeros((X.shape[0] - r, d), dM.dtype)])
-            dx_extra, d_mlp = _softmax_backward(dM, X, agg_cache, _mlp(model, l))
-            dY += dx_extra
-            if d_mlp is not None:
-                d_attn[l] = d_mlp
+            dw = np.sum(dM[ei] * X[ej], axis=1)          # dL/dG at each edge
+            dscores = _segment_softmax_backward(dw, w, *segs)
+            if d_attn is None:
+                dY += _cosine_backward(dscores, ei, ej, score_cache)
+            else:
+                dx, d_attn[l] = _mlp_backward(dscores, ei, ej, score_cache, X,
+                                              *model.attention_mlp[l])
+                dY += dx
 
     grads = d_layers + [d_head_w, d_head_b]
     if d_attn is not None:

@@ -20,10 +20,6 @@ class EvalReport:
     bcubed_f: float
     n_evaluated: int
 
-    def as_line(self) -> str:
-        return (f"{self.nmi:.6f}\t{self.bcubed_precision:.6f}\t"
-                f"{self.bcubed_recall:.6f}\t{self.bcubed_f:.6f}\t{self.n_evaluated}")
-
     def as_table(self) -> str:
         return ("metric     value\n"
                 f"NMI        {self.nmi:.4f}\n"

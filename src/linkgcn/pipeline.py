@@ -81,7 +81,8 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
         edges = pool_edges([], [], [])
         t1 = t2 = time.perf_counter()
     else:
-        nbrs = build_knn(fs, clamp_config(ips_cfg, fs.n).table_k, workers=workers)
+        ips_cfg = clamp_config(ips_cfg, fs.n)  # once, so one warning covers both stages
+        nbrs = build_knn(fs, ips_cfg.table_k, workers=workers)
         t1 = time.perf_counter()
         edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
         t2 = time.perf_counter()

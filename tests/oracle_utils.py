@@ -7,9 +7,10 @@ from linkgcn.config import seed_stream
 
 
 def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidden=3,
-                    kink_margin=1e-3):
-    """Random small model + graph for gradient checking. The loss mask is a
-    prefix of the nodes, so its rows can stand for a subgraph's hop-1 nodes.
+                    kink_margin=1e-3, edgeless=False):
+    """Random small model + graph for gradient checking, a graph without
+    edges when edgeless. The loss mask is a prefix of the nodes, so its rows
+    can stand for a subgraph's hop-1 nodes.
 
     Draws are rejected while any ReLU preactivation sits within kink_margin
     of zero: central differences are invalid across the kink, so the oracle
@@ -21,7 +22,7 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
                                attention_hidden=attention_hidden, dtype=np.float64)
         X = rng.standard_normal((n, dims[0]))
         A = np.zeros((n, n))
-        for _ in range(2 * n):
+        for _ in range(0 if edgeless else 2 * n):
             i, j = rng.integers(0, n, 2)
             if i != j:
                 A[i, j] = A[j, i] = 1.0
@@ -33,7 +34,7 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
         margin = np.inf
         for layer, (X_in, _, _, Z, _) in enumerate(caches):
             margin = min(margin, float(np.min(np.abs(Z))))
-            if model.aggregator == "attention":
+            if model.aggregator == "attention" and ei.size:
                 # the attention MLP's hidden ReLU, recomputed from the layer input
                 w1, _ = model.attention_mlp[layer]
                 hidden = np.concatenate([X_in[ei], X_in[ej]], axis=1) @ w1

@@ -7,6 +7,7 @@ re-normalization. A learned link predictor can adapt to the distortion; a
 single global similarity threshold cannot.
 """
 
+import dataclasses
 import math
 import time
 
@@ -167,11 +168,11 @@ def test_criterion_6_aggregator_row_sums():
             a, b = rng.integers(0, n, 2)
             if a != b:
                 A[a, b] = A[b, a] = 1.0
-        edges = gcn._edge_segments(*np.nonzero(A), n)
-        G = gcn._softmax_forward(X, edges)[0]
         model = init_model([4, 3], "attention", seed_stream(draw, "init"),
                            attention_hidden=3, dtype=np.float64)
-        Ga = gcn._softmax_forward(X, edges, model.attention_mlp[0])[0]
+        weighted = dataclasses.replace(model, aggregator="weighted", attention_mlp=None)
+        # each model's first-layer G
+        G, Ga = (gcn._forward_edges(m, X, *np.nonzero(A))[2][0][1] for m in (weighted, model))
         for g in (G, Ga):
             rows = np.flatnonzero(A.sum(axis=1) > 0)
             if rows.size:

@@ -236,6 +236,15 @@ def test_cluster_worker_count_invariant(synth_dir, trained_dir, tmp_path, capsys
     assert outs[0] == outs[1]
 
 
+def test_cluster_clamp_is_one_warning_line(synth_dir, trained_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "cluster", "--features", str(synth_dir / "features.fmat"),
+                       "--checkpoint", str(trained_dir / "model.gcnm"),
+                       "--out-dir", str(tmp_path / "c"))
+    assert code == 0, err
+    assert err == ("warning: subgraph config clamped to N-1=39: "
+                   "k_per_hop (80, 5) -> (39, 5), u 5 -> 5\n")
+
+
 def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
     out = tmp_path / "bfs"
     code, _, _ = run(capsys, *cluster_args(synth_dir, trained_dir, out,
@@ -435,6 +444,36 @@ def test_baseline_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     assert err == "warning: kNN width clamped to N-1=0: k [80] -> [0]\n"
     assert "clusters=1" in stdout
     assert (out / "baseline_partition.tsv").read_text() == "0\t0\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_baseline_bad_k_fails_before_reading(synth_dir, tmp_path, capsys, monkeypatch, k):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a bad --k reached the config or feature file")
+
+    monkeypatch.setattr(cli, "make_config", no_read)
+    monkeypatch.setattr(dataset, "load_features", no_read)
+    out = tmp_path / "b"
+    code, stdout, err = run(capsys, "baseline", "--features", str(synth_dir / "features.fmat"),
+                            f"--k={k}", "--tau-sim", "0.8", "--out-dir", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --k must be an integer >= 1, got {k}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_baseline_bad_k_on_one_instance(synth_dir, tmp_path, capsys, k):
+    # a one-instance collection needs no kNN search, but --k is checked anyway
+    one = tmp_path / "one.fmat"
+    fs = dataset.load_features(synth_dir / "features.fmat")
+    dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one)
+    out = tmp_path / "b"
+    code, _, err = run(capsys, "baseline", "--features", str(one), f"--k={k}",
+                       "--tau-sim", "0.8", "--out-dir", str(out))
+    assert code == 1
+    assert err == f"error: --k must be an integer >= 1, got {k}\n"
+    assert not (out / "baseline_partition.tsv").exists()
 
 
 @pytest.mark.parametrize("tau_sim", ["nan", "2", "-5"])

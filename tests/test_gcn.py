@@ -20,15 +20,24 @@ def random_graph(rng, n, symmetric=True):
     return A
 
 
+def first_g(aggregator, A, X, mlp=None, row_normalized=False):
+    """The G that a one-layer `aggregator` model mixes the graph of a dense
+    adjacency with, in X's dtype; mlp = (w1, w2) scores `attention` edges."""
+    d, dt = X.shape[1], X.dtype
+    model = gcn.GcnModel(aggregator, [np.zeros((2 * d, 1), dt)], np.zeros((1, 2), dt),
+                         np.zeros(2, dt), None if mlp is None else [mlp], row_normalized)
+    return gcn._forward_edges(model, X, *np.nonzero(A))[2][0][1]
+
+
 def mean_of(A, row_normalized=False):
     """The `mean` mixing matrix of a dense adjacency's edges, in its dtype."""
-    return gcn.mean_mixing(len(A), *np.nonzero(A), A.dtype, row_normalized)
+    return first_g("mean", A, np.zeros((len(A), 1), A.dtype), row_normalized=row_normalized)
 
 
 def softmax_of(A, X, mlp=None):
     """The `weighted` mixing matrix of a dense adjacency's edges, or the
     `attention` one for mlp = (w1, w2)."""
-    return gcn._softmax_forward(X, gcn._edge_segments(*np.nonzero(A), len(A)), mlp)[0]
+    return first_g("weighted" if mlp is None else "attention", A, X, mlp)
 
 
 def forward_dense(model, X, A):
@@ -367,11 +376,14 @@ def test_hop1_rows_backward_matches_full_rows(synth_1k_set, synth_1k_nbrs, aggre
 
 @pytest.mark.parametrize("aggregator", gcn.AGGREGATORS)
 def test_gradients_match_finite_differences(aggregator):
-    for seed in range(3):
-        model, X, A, labels, mask = random_instance(aggregator, seed)
+    # three random graphs, then one without edges: every G is zero and the
+    # edge softmax runs on empty segments
+    for seed, edgeless in [(0, False), (1, False), (2, False), (3, True)]:
+        model, X, A, labels, mask = random_instance(aggregator, seed, edgeless=edgeless)
         edges, hop1_labels = np.stack(np.nonzero(A)), labels[mask]
-        _, analytic = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
+        loss, analytic = gcn.loss_and_grads_edges(model, X, edges, hop1_labels)
         numeric = finite_difference_grads(model, X, edges, hop1_labels)
+        assert np.isfinite(loss)
         assert max_relative_error(analytic, numeric) < 1e-5
 
 

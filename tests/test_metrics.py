@@ -126,8 +126,6 @@ def test_evaluate_f_consistency():
     expect = 2 * rep.bcubed_precision * rep.bcubed_recall / (
         rep.bcubed_precision + rep.bcubed_recall)
     assert rep.bcubed_f == pytest.approx(expect, abs=1e-12)
-    line = rep.as_line()
-    assert len(line.split("\t")) == 5
 
 
 def test_upper_bound_perfect_at_k1():

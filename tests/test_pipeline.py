@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
     assert isinstance(timing, pipeline.TimingReport)
     with pytest.raises(ValueError, match="model expects D=4"):
         pipeline.cluster(FeatureSet(features=np.ones((1, 3), np.float32)), model, IPS)
+
+
+def test_cluster_clamp_is_one_warning():
+    # N = 60 clamps the test regime's k1 = 80 for the kNN table and the
+    # scoring alike; the one clamped config serves both
+    fs = normalize_rows(synth_generate(SynthSpec(num_identities=6, samples_per_identity=(10, 10),
+                                                 dim=16, seed=3)))
+    model = init_model([16, 8], "mean", seed_stream(0, "init"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pipeline.cluster(fs, model, IPS)
+    assert [str(w.message) for w in caught] == [
+        "subgraph config clamped to N-1=59: k_per_hop (80, 5) -> (59, 5), u 5 -> 5"]
 
 
 def test_negative_workers_are_rejected(synth_1k_set, synth_1k_nbrs, scored):
