@@ -65,8 +65,8 @@ class PipelineConfig:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
         if not 0.0 <= self.tau0 < 1.0:
             raise ValueError(f"tau0 must lie in [0, 1), got {self.tau0}")
-        if not self.dtau > 0.0:
-            raise ValueError(f"dtau must be > 0, got {self.dtau}")
+        if not 0.0 < self.dtau < np.inf:
+            raise ValueError(f"dtau must be finite and > 0, got {self.dtau}")
         from linkgcn.gcn import AGGREGATORS  # here: gcn imports dataset, which imports this module
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
@@ -113,8 +113,8 @@ def _coerce(value: str, target_type):
 def load_config_file(path) -> dict:
     """Parse a flat key=value config file. Blank lines and # comments allowed."""
     out = {}
-    valid = {f.name: f.type for f in fields(PipelineConfig)}
-    types = {f.name: type(getattr(PipelineConfig(), f.name)) for f in fields(PipelineConfig)}
+    defaults = PipelineConfig()
+    types = {f.name: type(getattr(defaults, f.name)) for f in fields(defaults)}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -123,7 +123,7 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (tok.strip() for tok in line.split("=", 1))
-            if key not in valid:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 out[key] = _coerce(value, types[key])

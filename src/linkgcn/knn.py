@@ -1,13 +1,14 @@
-"""Exact brute-force k-nearest-neighbor search under cosine similarity."""
+"""Exact brute-force k-nearest-neighbor search under cosine similarity, and
+the thread rule and thread loop of every stage that splits its work."""
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from linkgcn import _kernels
 from linkgcn.dataset import FeatureSet
 
 
@@ -47,25 +48,35 @@ class NeighborTable:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def idle_core_workers(cores: int) -> int:
-    """Worker threads that fill the cores the BLAS pool leaves idle: cores //
-    pool size. As at OpenBLAS start-up, the pool is the first positive integer
-    among BLAS_THREAD_VARS, capped at cores, or all cores if none is set."""
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            return cores // min(int(value), cores)
-    return 1
-
-
 def thread_count(workers: int) -> int:
-    """Threads for a `workers` setting: as given, or for 0 as many as the BLAS
-    pool leaves cores idle (idle_core_workers), which is 1 when BLAS already
-    fills the cores; never more than the usable cores."""
+    """Threads for a `workers` setting: as given, or for 0 usable cores //
+    BLAS pool size, which is 1 when BLAS already fills the cores; never more
+    than the usable cores. As at OpenBLAS start-up, the pool is the first
+    positive integer among BLAS_THREAD_VARS, capped at the cores, or all cores
+    if none is set."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 derives the count), got {workers}")
     cores = len(os.sched_getaffinity(0))
-    return min(workers or idle_core_workers(cores), cores)
+    if workers == 0:
+        workers = 1
+        for var in BLAS_THREAD_VARS:
+            value = os.environ.get(var, "").strip()
+            if value.isdecimal() and int(value) > 0:
+                workers = cores // min(int(value), cores)
+                break
+    return min(workers, cores)
+
+
+def run_threads(fn, items, threads: int) -> None:
+    """Call fn on every item, on min(threads, len(items)) threads, or in the
+    calling thread when that is 1. An exception raised by fn reaches the caller."""
+    threads = min(threads, len(items))
+    if threads <= 1:
+        for item in items:
+            fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fn, items))
 
 
 def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
@@ -86,6 +97,60 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     if np.any(norms == 0.0):
         raise ValueError("zero-norm row; cosine ordering undefined")
     unit /= norms[:, None]
-    idx, sim = _kernels.topk_cosine(unit, k, workers=threads)
+    idx, sim = topk_cosine(unit, k, workers=threads)
     return NeighborTable(indices=idx, similarities=sim.astype(np.float32))
 
+
+def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k neighbor ids and similarities per row, self excluded,
+    ordered by (similarity desc, id asc). Rows are assumed unit-normalized.
+
+    Similarities are one float64 matmul per row block, into one block of at
+    most ~64 MiB allocated once and reused. Each block's rows are selected in
+    chunks of ~1 MiB of partition indices (_select_rows), which run_threads
+    splits over `workers` threads; the result does not depend on the thread
+    count. Scratch memory is the block plus about 1 MiB per thread.
+    """
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    n = unit.shape[0]
+    out_idx = np.empty((n, k), dtype=np.int64)
+    out_sim = np.empty((n, k), dtype=np.float64)
+    block = max(1, min(n, (64 << 20) // (8 * n)))  # cap scratch at ~64MB
+    chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices
+    buf = np.empty((block, n), dtype=np.float64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        sims = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # self excluded
+
+        def select(lo):
+            hi = min(lo + chunk, stop)
+            _select_rows(sims[lo - start:hi - start], k, out_idx[lo:hi], out_sim[lo:hi])
+
+        run_threads(select, range(start, stop, chunk), workers)
+    return out_idx, out_sim
+
+
+def _select_rows(sims: np.ndarray, k: int, out_idx: np.ndarray, out_sim: np.ndarray) -> None:
+    """Write the top-k columns of each row of sims, by (similarity desc, id
+    asc), into out_idx and out_sim.
+
+    One partition finds each row's k + 1 largest entries, which are sorted.
+    Where the (k+1)-th value is below the k-th, every column left out is below
+    the k-th too, so the first k are exact. Where the two tie, more columns
+    outside may tie as well, so every column at or above the k-th value is a
+    candidate, and the candidates are sorted."""
+    n = sims.shape[1]
+    rows = np.arange(len(sims))[:, None]
+    top = np.argpartition(sims, n - k - 1, axis=1)[:, n - k - 1:]
+    vals = sims[rows, top]
+    order = np.lexsort((top, -vals), axis=1)
+    top, vals = top[rows, order], vals[rows, order]
+    out_idx[:] = top[:, :k]
+    out_sim[:] = vals[:, :k]
+    for r in np.flatnonzero(vals[:, k] == vals[:, k - 1]):
+        s = sims[r]
+        cand = np.flatnonzero(s >= vals[r, k - 1])
+        best = cand[np.lexsort((cand, -s[cand]))[:k]]
+        out_idx[r] = best
+        out_sim[r] = s[best]

@@ -119,8 +119,8 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
     """
     if not (0.0 <= tau0 < 1.0):
         raise ValueError(f"tau0={tau0} outside [0, 1)")
-    if dtau <= 0.0:
-        raise ValueError(f"dtau={dtau} must be positive")
+    if not 0.0 < dtau < np.inf:
+        raise ValueError(f"dtau={dtau} must be finite and positive")
     if max_size < 1:
         raise ValueError(f"max_size={max_size} must be >= 1")
 

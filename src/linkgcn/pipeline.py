@@ -4,13 +4,12 @@ with per-stage wall-time accounting."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
-from linkgcn.knn import NeighborTable, build_knn, thread_count
+from linkgcn.knn import NeighborTable, build_knn, run_threads, thread_count
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, pool_edges, propagate_cluster
 
 
@@ -41,12 +40,11 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 0) -> WeightedEdgeSet:
     """Score pivot/1-hop-neighbor linkage for every instance and pool the
     results into one undirected edge set. Subgraphs are built a block of
-    pivots at a time, and thread_count(workers) threads split the blocks,
-    never more threads than blocks. Worker-count invariant."""
+    pivots at a time, and run_threads splits the blocks over
+    thread_count(workers) threads. Worker-count invariant."""
     threads = thread_count(workers)
     _check_width(fs, model)
     ips_cfg = clamp_config(ips_cfg, fs.n)
-    blocks = pivot_blocks(fs.n, ips_cfg)
     hop1 = [None] * fs.n
     probs = [None] * fs.n
 
@@ -55,13 +53,7 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
             hop1[ips.pivot] = ips.nodes[: ips.hop1_count]
             probs[ips.pivot] = forward(model, ips)
 
-    threads = min(threads, len(blocks))
-    if threads <= 1:
-        for pivots in blocks:
-            run_block(pivots)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
+    run_threads(run_block, pivot_blocks(fs.n, ips_cfg), threads)
     return pool_edges(range(fs.n), hop1, probs)
 
 

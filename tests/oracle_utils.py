@@ -203,7 +203,7 @@ def union_find_components(n, src, dst):
 
 def topk_cosine_oracle(unit, k):
     """Reference exact top-k: a full lexsort over all N columns of each row,
-    with the same float64 row blocks as `_kernels.topk_cosine`, so the matmul
+    with the same float64 row blocks as `knn.topk_cosine`, so the matmul
     rounds the same way."""
     unit = np.ascontiguousarray(unit, dtype=np.float64)
     n = unit.shape[0]

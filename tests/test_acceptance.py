@@ -265,9 +265,12 @@ def test_criterion_9_link_prediction_scaling():
                          seed=1)
         fs = normalize_rows(synth_generate(spec))
         nbrs = build_knn(fs, 20)
-        t0 = time.perf_counter()
-        predict_links(fs, nbrs, model, ips)
-        times.append(time.perf_counter() - t0)
+        best = math.inf
+        for _ in range(3):  # best of 3 on one table, so one slow call sets no slope
+            t0 = time.perf_counter()
+            predict_links(fs, nbrs, model, ips)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
     exponent = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
     report(9, exponent <= 1.2,
            f"link-prediction wall times {['%.2fs' % t for t in times]} over "

@@ -256,7 +256,8 @@ def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
 # ------------------------------------------------------------------- eval
 
 @pytest.mark.parametrize("config_text, flags", [
-    ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5")), ("", ("--workers", "-1"))])
+    ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5")), ("", ("--workers", "-1")),
+    ("", ("--dtau", "inf"))])
 def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_path,
                                                     capsys, monkeypatch, config_text,
                                                     flags):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from linkgcn.config import PipelineConfig, load_config_file, make_config
@@ -33,7 +35,7 @@ def test_config_precedence(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("merge", "bfss"), ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")),
-    ("tau0", -0.1), ("tau0", 1.0), ("dtau", 0.0), ("dtau", -0.05),
+    ("tau0", -0.1), ("tau0", 1.0), ("dtau", 0.0), ("dtau", -0.05), ("dtau", math.inf),
     ("max_size", 0), ("hops", 0), ("train_k1", 0), ("train_k2", 0), ("train_u", 0),
     ("test_k1", 0), ("test_k2", 0), ("test_u", -1), ("aggregator", "foo"),
     ("hidden_dims", ()), ("hidden_dims", (64, 0)), ("attention_hidden", 0), ("workers", -1),

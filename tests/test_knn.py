@@ -1,10 +1,11 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from linkgcn import _kernels, knn
+from linkgcn import knn
 from linkgcn.dataset import FeatureSet, normalize_rows
 from linkgcn.knn import NeighborTable, build_knn
 from oracle_utils import topk_cosine_oracle
@@ -89,18 +90,60 @@ def test_build_knn_selection_threads(small_random_set, monkeypatch, workers, env
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(cores)))
     seen = []
-    kernel = _kernels.topk_cosine
+    kernel = knn.topk_cosine
 
     def recording(unit, k, workers=1):
         seen.append(workers)
         return kernel(unit, k, workers=workers)
 
-    monkeypatch.setattr(_kernels, "topk_cosine", recording)
+    monkeypatch.setattr(knn, "topk_cosine", recording)
     table = build_knn(small_random_set, 5, workers=workers)
     assert seen == [expect]
     reference = build_knn(small_random_set, 5, workers=1)
     assert table.indices.tobytes() == reference.indices.tobytes()
     assert table.similarities.tobytes() == reference.similarities.tobytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every pool run_threads opens."""
+    created = []
+
+    class RecordingExecutor(knn.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", RecordingExecutor)
+    return created
+
+
+@pytest.mark.parametrize("threads, items, expect", [
+    (1, 5, []),    # one thread: the calling thread, no pool
+    (2, 5, [2]),
+    (8, 3, [3]),   # never more threads than items
+    (4, 1, []),    # one item: no pool
+    (2, 0, []),
+])
+def test_run_threads_calls_every_item_once(pools, threads, items, expect):
+    calls = []
+    knn.run_threads(lambda item: calls.append((item, threading.get_ident())),
+                    range(items), threads)
+    assert sorted(item for item, _ in calls) == list(range(items))
+    assert pools == expect
+    if not expect:
+        assert {ident for _, ident in calls} <= {threading.get_ident()}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_threads_raises_a_worker_exception(pools, threads):
+    def fn(item):
+        if item == 3:
+            raise ArithmeticError(f"item {item}")
+
+    with pytest.raises(ArithmeticError, match="item 3"):
+        knn.run_threads(fn, range(6), threads)
+    assert pools == ([] if threads == 1 else [2])
 
 
 def test_neighbor_table_validation():
@@ -135,7 +178,7 @@ def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
     want_idx, want_sim = topk_cosine_oracle(unit, k)
     for workers in (1, 2, 3):
-        idx, sim = _kernels.topk_cosine(unit, k, workers=workers)
+        idx, sim = knn.topk_cosine(unit, k, workers=workers)
         assert idx.dtype == want_idx.dtype and sim.dtype == want_sim.dtype
         assert np.array_equal(idx, want_idx), workers
         assert sim.tobytes() == want_sim.tobytes(), workers
@@ -157,7 +200,7 @@ def test_topk_cosine_chunk_boundary_inside_tied_rows():
     sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
     try:
         for workers in (1, 2, 3):
-            idx, sim = _kernels.topk_cosine(unit, k, workers=workers)
+            idx, sim = knn.topk_cosine(unit, k, workers=workers)
             assert np.array_equal(idx, want_idx), workers
             assert sim.tobytes() == want_sim.tobytes(), workers
     finally:
@@ -188,7 +231,7 @@ def test_topk_cosine_scratch_is_one_block():
     for workers in (1, 2):
         tracemalloc.start()
         try:
-            _kernels.topk_cosine(unit, k, workers=workers)
+            knn.topk_cosine(unit, k, workers=workers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

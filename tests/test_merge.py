@@ -248,6 +248,9 @@ def test_propagate_invalid_schedule():
         propagate_cluster(edges, n=2, tau0=1.0)
     with pytest.raises(ValueError):
         propagate_cluster(edges, n=2, dtau=0.0)
+    for dtau in (np.inf, np.nan):  # round 0's threshold would be tau0 + 0 * dtau = nan
+        with pytest.raises(ValueError, match="dtau"):
+            propagate_cluster(edges, n=2, dtau=dtau)
     with pytest.raises(ValueError):
         propagate_cluster(edges, n=2, max_size=0)
 

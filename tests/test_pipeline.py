@@ -82,7 +82,7 @@ def test_scoring_threads_are_bounded(synth_1k_set, synth_1k_nbrs, scored, monkey
     blocks = len(pivot_blocks(synth_1k_set.n, IPS))
     assert 3 < blocks < 64
     SerialExecutor.created = []
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", SerialExecutor)
     monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(cores)))
     set_blas_env(monkeypatch, workers if isinstance(workers, dict) else {})
     count = {} if isinstance(workers, dict) else {"workers": workers}
@@ -98,12 +98,12 @@ def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, mon
     model, reference = scored
     created = []
 
-    class RecordingExecutor(pipeline.ThreadPoolExecutor):
+    class RecordingExecutor(knn.ThreadPoolExecutor):
         def __init__(self, max_workers):
             created.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(knn.os, "sched_getaffinity", lambda pid: set(range(4)))
     set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
     interval = sys.getswitchinterval()
