@@ -35,12 +35,12 @@ def test_config_precedence(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("merge", "bfss"), ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")),
-    ("tau0", -0.1), ("tau0", 1.0), ("dtau", 0.0), ("dtau", -0.05), ("dtau", math.inf),
+    ("tau0", -0.1), ("tau0", 1.0), ("dtau", 0.0), ("dtau", -0.05),
     ("max_size", 0), ("hops", 0), ("train_k1", 0), ("train_k2", 0), ("train_u", 0),
     ("test_k1", 0), ("test_k2", 0), ("test_u", -1), ("aggregator", "foo"),
     ("hidden_dims", ()), ("hidden_dims", (64, 0)), ("attention_hidden", 0), ("workers", -1),
     ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", float("inf")), ("momentum", 1.0),
-    ("lr_decay", 0.0)])
+    ("lr_decay", 0.0), ("dtau", math.inf)])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ValueError, match=f"^{field} ") as exc:
         PipelineConfig(**{field: value})
