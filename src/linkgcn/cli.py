@@ -34,13 +34,10 @@ def _parse_range(text: str, label: str, cast=int):
 
 def _load_feature_set(args, need_labels=False) -> FeatureSet:
     fs = dataset.load_features(args.features)
-    labels = None
     if getattr(args, "labels", None):
-        labels = dataset.load_labels(args.labels)
-    elif need_labels:
+        return FeatureSet(features=fs.features, labels=dataset.load_labels(args.labels))
+    if need_labels:
         raise SystemExit("error: this command needs --labels")
-    if labels is not None:
-        fs = FeatureSet(features=fs.features, labels=labels)
     return fs
 
 

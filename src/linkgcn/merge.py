@@ -27,8 +27,8 @@ class WeightedEdgeSet:
             raise ValueError("edge arrays must share a shape")
         if np.any(i >= j):
             raise ValueError("edges must be canonical with i < j")
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise ValueError("edge weights must lie in [0, 1]")
+        if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both
+            raise ValueError("edge weights must be finite and lie in [0, 1]")
         keys = np.sort(i * (j.max() + 1 if j.size else 1) + j)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edge")
@@ -51,27 +51,31 @@ def canonical_labels(assignment: np.ndarray) -> np.ndarray:
     return order[inverse].astype(np.int64)
 
 
-def pool_edges(pivots, hop1_nodes, likelihoods) -> WeightedEdgeSet:
-    """Collect pivot->neighbor predictions into one undirected edge pool.
-
-    When both directions of a pair were predicted, the larger likelihood
-    wins. Output is independent of pivot order.
-    """
-    hop1_nodes = [np.asarray(q, dtype=np.int64) for q in hop1_nodes]
-    counts = np.array([q.size for q in hop1_nodes], dtype=np.int64)
-    if not counts.sum():
-        return WeightedEdgeSet(i=np.empty(0, np.int64), j=np.empty(0, np.int64),
-                               w=np.empty(0, np.float64))
-    src = np.repeat(np.asarray(pivots, dtype=np.int64), counts)
-    dst = np.concatenate(hop1_nodes)
-    w = np.concatenate([np.asarray(p, dtype=np.float64) for p in likelihoods])
-    a, b = np.minimum(src, dst), np.maximum(src, dst)
-    # pairs ascending, and within a pair the largest likelihood first
-    order = np.lexsort((-w, b, a))
-    a, b, w = a[order], b[order], w[order]
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return WeightedEdgeSet(i=a[first], j=b[first], w=w[first])
+def pool_edges(hop1_nodes, likelihoods) -> WeightedEdgeSet:
+    """Pool pivot->neighbor likelihoods into one undirected edge set; row p of
+    the two (P, k) tables holds pivot p's neighbor ids and likelihoods. One
+    sort by key min * n + max (n above every id), then likelihood descending,
+    keeps each pair's larger likelihood in at most ~42 bytes a link beyond the
+    tables. ValueError names the first pivot with a non-finite likelihood."""
+    hop1_nodes, likelihoods = np.asarray(hop1_nodes, dtype=np.int64), np.asarray(likelihoods)
+    bad = ~np.isfinite(likelihoods).all(axis=1)
+    if bad.any():
+        raise ValueError(f"pivot {int(np.argmax(bad))} has a non-finite link likelihood")
+    n = max(len(hop1_nodes), int(hop1_nodes.max(initial=-1)) + 1)
+    pivots = np.arange(len(hop1_nodes))[:, None]
+    key = np.minimum(pivots, hop1_nodes).ravel()
+    key *= n
+    key += np.maximum(pivots, hop1_nodes).ravel()
+    order = np.lexsort((-likelihoods.ravel(), key))
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    order, key = order[first], key[first]
+    w = likelihoods.ravel()[order].astype(np.float64)
+    del order  # before the edge set's arrays, to keep the peak down
+    j = key % n
+    key //= n
+    return WeightedEdgeSet(i=key, j=j, w=w)
 
 
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
@@ -19,16 +21,13 @@ class TimingReport:
     link_prediction_seconds: float
     merge_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.knn_seconds + self.link_prediction_seconds + self.merge_seconds
-
     def as_text(self) -> str:
+        total = self.knn_seconds + self.link_prediction_seconds + self.merge_seconds
         return ("stage            seconds\n"
                 f"knn              {self.knn_seconds:.3f}\n"
                 f"link-prediction  {self.link_prediction_seconds:.3f}\n"
                 f"merge            {self.merge_seconds:.3f}\n"
-                f"total            {self.total_seconds:.3f}")
+                f"total            {total:.3f}")
 
 
 def _check_width(fs: FeatureSet, model: GcnModel) -> None:
@@ -38,23 +37,23 @@ def _check_width(fs: FeatureSet, model: GcnModel) -> None:
 
 def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 0) -> WeightedEdgeSet:
-    """Score pivot/1-hop-neighbor linkage for every instance and pool the
-    results into one undirected edge set. Subgraphs are built a block of
-    pivots at a time, and run_threads splits the blocks over
-    thread_count(workers) threads. Worker-count invariant."""
+    """Score every pivot's link to each of its k1 nearest neighbors into an
+    (N, k1) likelihood table, row p for pivot p, and pool it into one edge
+    set. A pivot's 1-hop nodes are the first k1 ids of its kNN row, in order,
+    since a row holds neither self nor duplicates. Each of thread_count(workers)
+    threads writes the rows of its blocks of pivots; worker-count invariant."""
     threads = thread_count(workers)
     _check_width(fs, model)
     ips_cfg = clamp_config(ips_cfg, fs.n)
-    hop1 = [None] * fs.n
-    probs = [None] * fs.n
+    probs = np.empty((fs.n, ips_cfg.k_per_hop[0]), dtype=model.dtype)
 
     def run_block(pivots):
-        for ips in build_block(pivots, fs, nbrs, ips_cfg):
-            hop1[ips.pivot] = ips.nodes[: ips.hop1_count]
-            probs[ips.pivot] = forward(model, ips)
+        with np.errstate(all="ignore"):  # per thread; pool_edges rejects non-finite rows
+            for ips in build_block(pivots, fs, nbrs, ips_cfg):
+                probs[ips.pivot] = forward(model, ips)
 
     run_threads(run_block, pivot_blocks(fs.n, ips_cfg), threads)
-    return pool_edges(range(fs.n), hop1, probs)
+    return pool_edges(nbrs.indices[:, :probs.shape[1]], probs)
 
 
 def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
@@ -70,7 +69,7 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     _check_width(fs, model)
     t0 = time.perf_counter()
     if fs.n == 1:
-        edges = pool_edges([], [], [])
+        edges = pool_edges(np.empty((1, 0), np.int64), np.empty((1, 0)))
         t1 = t2 = time.perf_counter()
     else:
         ips_cfg = clamp_config(ips_cfg, fs.n)  # once, so one warning covers both stages

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from linkgcn import cli, dataset, merge, pipeline, trainer
+from linkgcn import cli, dataset, gcn, merge, pipeline, trainer
 from linkgcn.cli import build_parser, main
-from linkgcn.config import PipelineConfig, make_config
+from linkgcn.config import PipelineConfig, make_config, seed_stream
 from linkgcn.ips import IpsConfig, build_block
 from linkgcn.knn import build_knn
 
@@ -288,6 +288,25 @@ def test_cluster_one_instance(synth_dir, trained_dir, tmp_path, capsys):
     assert "clusters=1" in stdout
     assert (out / "partition.tsv").read_text() == "0\t0\n"
     assert (out / "edges.tsv").read_text() == ""
+
+
+def test_cluster_non_finite_likelihoods_exit_one_line(tmp_path, capsys):
+    # features of magnitude ~1e38, not normalized, overflow float32 when the
+    # pivot's feature is subtracted, and the likelihoods come out NaN
+    rng = np.random.default_rng(0)
+    big = tmp_path / "big.fmat"
+    dataset.save_features(dataset.FeatureSet(
+        features=(rng.uniform(-3.0, 3.0, (30, 8)) * 1e38).astype(np.float32)), big)
+    model = tmp_path / "model.gcnm"
+    gcn.save_model(gcn.init_model([8, 8, 8], "mean", seed_stream(0, "init")), model)
+    out = tmp_path / "c"
+    code, _, err = run(capsys, "cluster", "--features", str(big), "--checkpoint", str(model),
+                       "--no-normalize", "--out-dir", str(out))
+    assert code == 1
+    assert err == ("warning: subgraph config clamped to N-1=29: "
+                   "k_per_hop (80, 5) -> (29, 5), u 5 -> 5\n"
+                   "error: pivot 0 has a non-finite link likelihood\n")
+    assert not out.exists()
 
 
 def test_eval_non_ascii_partition_exits_one_line(synth_dir, tmp_path, capsys):

@@ -232,9 +232,13 @@ def test_build_ips_min_hop_recorded(synth_1k_set, synth_1k_nbrs):
 
 def assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg):
     """Each subgraph equals the one-pivot loop's nodes and hops and the
-    per-subgraph kernel's adjacency, exactly."""
+    per-subgraph kernel's adjacency, exactly. Its 1-hop nodes are the pivot's
+    first k1 kNN ids in table order, which pipeline.predict_links relies on."""
     assert [ips.pivot for ips in subgraphs] == list(pivots)
+    k1 = cfg.k_per_hop[0]
     for pivot, ips in zip(pivots, subgraphs):
+        assert ips.hop1_count == k1
+        np.testing.assert_array_equal(ips.nodes[:k1], nbrs.indices[pivot, :k1])
         nodes, hops = discover_nodes_loop(pivot, nbrs.indices, cfg.k_per_hop)
         np.testing.assert_array_equal(ips.nodes, nodes)
         np.testing.assert_array_equal(ips.hop_of, hops)
@@ -260,19 +264,23 @@ def test_blocks_match_loop_oracles_train_regime():
     spec = SynthSpec(num_identities=6, samples_per_identity=(40, 40), dim=16,
                      center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
     fs = normalize_rows(synth_generate(spec))
-    nbrs = build_knn(fs, 200)
-    cfg = IpsConfig(h=2, k_per_hop=(200, 10), u=10)
-    blocks = pivot_blocks(fs.n, cfg)
-    assert 0 < len(blocks[-1]) < len(blocks[0])
-    for pivots in blocks:
-        assert_match_oracles(build_block(pivots, fs, nbrs, cfg), pivots, fs, nbrs, cfg)
+    nbrs = build_knn(fs, fs.n - 1)
+    with pytest.warns(UserWarning, match="clamped"):
+        clamped = clamp_config(IpsConfig(h=2, k_per_hop=(300, 10), u=10), fs.n)
+    assert clamped.k_per_hop == (fs.n - 1, 10)
+    for cfg in (IpsConfig(h=2, k_per_hop=(200, 10), u=10), clamped):
+        blocks = pivot_blocks(fs.n, cfg)
+        assert 0 < len(blocks[-1]) < len(blocks[0])
+        for pivots in blocks:
+            assert_match_oracles(build_block(pivots, fs, nbrs, cfg), pivots, fs, nbrs, cfg)
 
 
 @pytest.mark.parametrize("size", [1, 7, 64])
 def test_block_of_any_pivots_matches_loop_oracles(synth_1k_set, synth_1k_nbrs, size):
-    cfg = IpsConfig(h=2, k_per_hop=(80, 5), u=5)
     pivots = np.random.default_rng(size).permutation(synth_1k_set.n)[:71].tolist()
-    for lo in range(0, len(pivots), size):
-        chunk = pivots[lo:lo + size]
-        assert_match_oracles(build_block(chunk, synth_1k_set, synth_1k_nbrs, cfg),
-                             chunk, synth_1k_set, synth_1k_nbrs, cfg)
+    for k_per_hop in ((80, 5), (1, 5)):
+        cfg = IpsConfig(h=2, k_per_hop=k_per_hop, u=5)
+        for lo in range(0, len(pivots), size):
+            chunk = pivots[lo:lo + size]
+            assert_match_oracles(build_block(chunk, synth_1k_set, synth_1k_nbrs, cfg),
+                                 chunk, synth_1k_set, synth_1k_nbrs, cfg)

@@ -29,45 +29,55 @@ def random_edges(rng, n, m):
 
 
 # ------------------------------------------------------------- pool_edges
+# pool_edges reads two (P, k) tables: row p holds pivot p's neighbor ids and
+# their likelihoods; the ids may exceed P - 1.
 
 def test_pool_edges_max_rule():
-    edges = pool_edges(pivots=[1, 2], hop1_nodes=[[2], [1]], likelihoods=[[0.8], [0.6]])
+    edges = pool_edges([[1], [0]], [[0.8], [0.6]])
     assert len(edges) == 1
-    assert (edges.i[0], edges.j[0]) == (1, 2)
+    assert (edges.i[0], edges.j[0]) == (0, 1)
     assert edges.w[0] == pytest.approx(0.8)
 
 
 def test_pool_edges_one_direction():
-    edges = pool_edges(pivots=[5], hop1_nodes=[[2]], likelihoods=[[0.4]])
-    assert (edges.i[0], edges.j[0], edges.w[0]) == (2, 5, 0.4)
+    edges = pool_edges([[2], [2]], [[0.4], [0.5]])
+    assert (edges.i[0], edges.j[0], edges.w[0]) == (0, 2, 0.4)
+    assert (edges.i[1], edges.j[1], edges.w[1]) == (1, 2, 0.5)
 
 
 def test_pool_edges_pair_count_oracle():
     rng = np.random.default_rng(0)
-    pivots = [0, 1, 2]
     hop1 = [[1, 2], [0, 2], [0, 1]]
-    probs = [rng.random(2) for _ in pivots]
-    edges = pool_edges(pivots, hop1, probs)
-    expect_pairs = {tuple(sorted((p, q))) for p, nq in zip(pivots, hop1) for q in nq}
+    probs = rng.random((3, 2))
+    edges = pool_edges(hop1, probs)
+    expect_pairs = {tuple(sorted((p, q))) for p, nq in enumerate(hop1) for q in nq}
     assert len(edges) == len(expect_pairs)
 
 
 def test_pool_edges_order_invariant():
+    # relabeling the instances permutes the rows and maps every id; the pooled
+    # edges are the relabeled ones
     rng = np.random.default_rng(1)
-    pivots = list(range(6))
-    hop1 = [rng.choice(6, 2, replace=False) for _ in pivots]
-    hop1 = [[int(q) for q in qs if q != p] for p, qs in zip(pivots, hop1)]
-    probs = [rng.random(len(qs)) for qs in hop1]
-    fwd = pool_edges(pivots, hop1, probs)
-    rev = pool_edges(pivots[::-1], hop1[::-1], probs[::-1])
-    np.testing.assert_array_equal(fwd.i, rev.i)
-    np.testing.assert_array_equal(fwd.j, rev.j)
-    np.testing.assert_array_equal(fwd.w, rev.w)
+    n, k = 6, 2
+    hop1 = np.array([rng.choice([q for q in range(n) if q != p], k, replace=False)
+                     for p in range(n)])
+    probs = rng.random((n, k))
+    perm = rng.permutation(n)
+    moved_hop1, moved_probs = np.empty_like(hop1), np.empty_like(probs)
+    moved_hop1[perm], moved_probs[perm] = perm[hop1], probs
+    fwd = pool_edges(hop1, probs)
+    rev = pool_edges(moved_hop1, moved_probs)
+    back = np.argsort(perm)
+    i, j = back[rev.i], back[rev.j]
+    order = np.lexsort((np.maximum(i, j), np.minimum(i, j)))
+    np.testing.assert_array_equal(fwd.i, np.minimum(i, j)[order])
+    np.testing.assert_array_equal(fwd.j, np.maximum(i, j)[order])
+    np.testing.assert_array_equal(fwd.w, rev.w[order])
 
 
-def assert_pool_matches_oracle(pivots, hop1, probs):
-    edges = pool_edges(pivots, hop1, probs)
-    i, j, w = pool_edges_oracle(pivots, hop1, probs)
+def assert_pool_matches_oracle(hop1, probs):
+    edges = pool_edges(hop1, probs)
+    i, j, w = pool_edges_oracle(range(len(hop1)), hop1, probs)
     assert np.array_equal(edges.i, i) and np.array_equal(edges.j, j)
     assert edges.w.tobytes() == w.tobytes()
 
@@ -76,23 +86,26 @@ def test_pool_edges_matches_dict_oracle():
     rng = np.random.default_rng(2)
     for trial in range(200):
         n = int(rng.integers(2, 40))
-        pivots = rng.permutation(n)[: rng.integers(1, n + 1)]
-        hop1, probs = [], []
-        for p in pivots:
-            qs = [int(q) for q in rng.integers(0, n, rng.integers(0, 8)) if q != p]
-            hop1.append(qs if trial % 2 else np.asarray(qs, dtype=np.int64))
-            # one decimal: tied likelihoods within a pair and across pairs
-            probs.append(np.round(rng.random(len(qs)), 1).astype(np.float32))
-        assert_pool_matches_oracle(pivots, hop1, probs)
+        rows, k = int(rng.integers(1, n + 1)), int(rng.integers(0, 8))
+        # ids drawn from the other n - 1 instances, repeats allowed
+        hop1 = rng.integers(0, n - 1, (rows, k))
+        hop1 += hop1 >= np.arange(rows)[:, None]
+        # one decimal: tied likelihoods within a pair and across pairs
+        probs = np.round(rng.random((rows, k)), 1).astype(np.float32)
+        assert_pool_matches_oracle(hop1.tolist() if trial % 2 else hop1, probs)
 
 
 def test_pool_edges_both_directions_and_empty_lists():
-    assert_pool_matches_oracle(range(4), [[1, 2], [0], [], [0, 0]],
-                               [[0.25, 0.5], [0.75], [], [0.5, 0.5]])
-    assert_pool_matches_oracle([3, 1, 2], [[1], [3], [1]], [[0.5], [0.5], [0.0]])
-    empty = pool_edges(range(3), [[], [], []], [[], [], []])
+    assert_pool_matches_oracle([[1, 2], [0, 0], [0, 0]],
+                               [[0.25, 0.5], [0.75, 0.75], [0.5, 0.5]])
+    assert_pool_matches_oracle([[1], [3], [1], [1]], [[0.25], [0.5], [0.0], [0.5]])
+    empty = pool_edges(np.empty((3, 0), np.int64), np.empty((3, 0), np.float32))
     assert len(empty) == 0 and empty.i.dtype == np.int64 and empty.w.dtype == np.float64
-    assert len(pool_edges([], [], [])) == 0
+    assert len(pool_edges(np.empty((0, 0)), np.empty((0, 0)))) == 0
+    # ragged rows, or tables of different shapes, are refused
+    for hop1, probs in (([[1, 2], [0]], [[0.5, 0.5], [0.5]]), ([[1, 2], [0, 2]], [[0.5, 0.5]])):
+        with pytest.raises(ValueError):
+            pool_edges(hop1, probs)
 
 
 def test_edge_set_validation():
@@ -100,9 +113,13 @@ def test_edge_set_validation():
         WeightedEdgeSet(i=np.array([2]), j=np.array([1]), w=np.array([0.5]))
     with pytest.raises(ValueError, match="weights"):
         edge_set([(0, 1, 1.5)])
+    with pytest.raises(ValueError, match="finite"):
+        edge_set([(0, 1, 0.5), (1, 2, np.nan)])
+    # the other direction's 0.5 would win the pair, hiding the NaN
+    with pytest.raises(ValueError, match="pivot 1 has a non-finite"):
+        pool_edges([[1], [0], [1]], [[0.5], [np.nan], [np.inf]])
     with pytest.raises(ValueError, match="duplicate"):
         WeightedEdgeSet(i=np.array([0, 0]), j=np.array([1, 1]), w=np.array([0.5, 0.6]))
-
 
 
 def test_edge_set_duplicates_in_unsorted_input():

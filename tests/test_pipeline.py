@@ -155,6 +155,33 @@ def test_extra_workers_cost_less_than_a_block_each():
     assert peaks[4] - peaks[1] < 3 * (block + forward), peaks
 
 
+def capped_prediction(fs, nbrs):
+    """Edge count predict_links pools on one thread with the [16, 8, 8] mean
+    model. The kNN table comes in as an argument, so the stage's own memory
+    sets the peak of run_with_address_limit's child."""
+    model = init_model([16, 8, 8], "mean", seed_stream(0, "init"))
+    return len(pipeline.predict_links(fs, nbrs, model, IPS, workers=1))
+
+
+def test_link_prediction_memory_per_instance():
+    peaks = {}
+    for n in (2000, 12000):
+        spec = SynthSpec(num_identities=n // 40, samples_per_identity=(40, 40), dim=16,
+                         center_spread=1.0, noise_scale=(0.05, 0.15), seed=1)
+        fs = normalize_rows(synth_generate(spec))
+        edges, peaks[n] = conftest.run_with_address_limit(
+            2**30, capped_prediction, fs, build_knn(fs, IPS.table_k))
+        assert edges > 0
+    # Per instance, the child holds its inputs (16 float32 features, 80 int64
+    # ids and 80 float32 similarities), then one row of 80 float32
+    # likelihoods and pooling's sort keys. Those measured 2.6 KB. A likelihood
+    # array and a node-array view kept per pivot, then sorted on three keys,
+    # would take about 8.9 KB.
+    inputs = 4 * 16 + (8 + 4) * 80
+    slack = 16 * 2**20
+    assert peaks[12000] - peaks[2000] <= (inputs + 4096) * 10000 + slack, peaks
+
+
 @pytest.mark.parametrize("merge", ["propagate", "bfs"])
 def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
     def no_work(*args, **kwargs):
