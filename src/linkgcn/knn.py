@@ -4,6 +4,7 @@ the thread rule and thread loop of every stage that splits its work."""
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -83,9 +84,13 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     """Exact top-k neighbors of every instance; O(N^2 D) brute force.
 
     Ordering is by cosine similarity whether or not the rows were
-    pre-normalized, with ties broken by ascending instance id. Each row
-    block's top-k is selected on thread_count(workers) threads. Worker-count
-    invariant.
+    pre-normalized, with ties broken by ascending instance id. Row blocks
+    are spread over thread_count(workers) threads, each computing a block's
+    similarities and its top-k, in one ~16 MiB block of scratch per thread.
+    Worker-count invariant. Blocks stay at ~16 MiB at any N, so at large N
+    they hold few rows (69 at N = 30,000) and the matmul repacks unit.T once
+    per block: there one thread runs slower than with one larger block, and
+    two or more run faster.
     """
     threads = thread_count(workers)
     if k < 1:
@@ -105,29 +110,34 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
     """Exact top-k neighbor ids and similarities per row, self excluded,
     ordered by (similarity desc, id asc). Rows are assumed unit-normalized.
 
-    Similarities are one float64 matmul per row block, into one block of at
-    most ~64 MiB allocated once and reused. Each block's rows are selected in
-    chunks of ~1 MiB of partition indices (_select_rows), which run_threads
-    splits over `workers` threads; the result does not depend on the thread
-    count. Scratch memory is the block plus about 1 MiB per thread.
+    run_threads hands whole row blocks to `workers` threads. Each thread
+    computes a block's similarities with one float64 matmul into its own
+    buffer of at most ~16 MiB, allocated once and reused, then selects the
+    block's rows in chunks of ~1 MiB of partition indices (_select_rows)
+    while the block is still in cache. The block rows depend only on N, so
+    the result does not depend on the thread count. Scratch memory is, per
+    thread, one block plus about 1 MiB.
     """
     unit = np.ascontiguousarray(unit, dtype=np.float64)
     n = unit.shape[0]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float64)
-    block = max(1, min(n, (64 << 20) // (8 * n)))  # cap scratch at ~64MB
+    block = max(1, min(n, (16 << 20) // (8 * n)))  # ~16 MiB of similarities
     chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices
-    buf = np.empty((block, n), dtype=np.float64)
-    for start in range(0, n, block):
+    scratch = threading.local()
+
+    def run_block(start):
+        buf = getattr(scratch, "buf", None)
+        if buf is None:
+            buf = scratch.buf = np.empty((block, n), dtype=np.float64)
         stop = min(start + block, n)
         sims = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # self excluded
-
-        def select(lo):
+        for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
             _select_rows(sims[lo - start:hi - start], k, out_idx[lo:hi], out_sim[lo:hi])
 
-        run_threads(select, range(start, stop, chunk), workers)
+    run_threads(run_block, range(0, n, block), workers)
     return out_idx, out_sim
 
 

@@ -29,9 +29,13 @@ class WeightedEdgeSet:
             raise ValueError("edges must be canonical with i < j")
         if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both
             raise ValueError("edge weights must be finite and lie in [0, 1]")
-        keys = np.sort(i * (j.max() + 1 if j.size else 1) + j)
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate edge")
+        keys = i * (j.max() + 1 if j.size else 1)
+        keys += j
+        # pool_edges output is already strictly increasing: no sort needed
+        if not np.all(keys[1:] > keys[:-1]):
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("duplicate edge")
         for arr in (i, j, w):
             arr.setflags(write=False)
         object.__setattr__(self, "i", i)

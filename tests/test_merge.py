@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,44 @@ def test_edge_set_duplicates_in_unsorted_input():
     edges = WeightedEdgeSet(i=i[:4], j=j[:4], w=np.full(4, 0.5))
     np.testing.assert_array_equal(edges.i, [3, 0, 2, 1])
     np.testing.assert_array_equal(edges.j, [7, 1, 5, 4])
+
+
+def pooled_random_edges(rng, n, k):
+    """pool_edges output for random kNN-like rows: k distinct-from-self ids each."""
+    hop1 = rng.integers(0, n - 1, (n, k))
+    hop1 += hop1 >= np.arange(n)[:, None]
+    return pool_edges(hop1, rng.random((n, k), dtype=np.float32))
+
+
+def test_edge_set_rejects_a_repeat_in_shuffled_pooled_edges():
+    rng = np.random.default_rng(3)
+    edges = pooled_random_edges(rng, 200, 10)
+    m = len(edges)
+    order = rng.permutation(m)
+    i, j, w = edges.i[order], edges.j[order], edges.w[order]
+    assert len(WeightedEdgeSet(i=i, j=j, w=w)) == m
+    # edge src copied to position dst: after sorted edges, and anywhere in shuffled ones
+    sorted_edges, shuffled = (edges.i, edges.j, edges.w), (i, j, w)
+    for arrays, src, dst in ((sorted_edges, 0, m), (shuffled, 0, m), (shuffled, m - 1, 1),
+                             (shuffled, m // 2, m // 2)):
+        ci, cj, cw = (np.insert(a, dst, a[src]) for a in arrays)
+        with pytest.raises(ValueError, match="duplicate edge"):
+            WeightedEdgeSet(i=ci, j=cj, w=cw)
+
+
+def test_edge_set_check_of_pooled_edges_needs_no_sorted_copy():
+    # pool_edges output is strictly increasing by (i, j), so the duplicate
+    # check holds one int64 key and one comparison byte an edge
+    edges = pooled_random_edges(np.random.default_rng(4), 12_500, 80)
+    m = len(edges)
+    assert m > 900_000
+    tracemalloc.start()
+    try:
+        WeightedEdgeSet(i=edges.i, j=edges.j, w=edges.w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * m + (64 << 10), peak / m
 
 
 def test_edge_set_empty():

@@ -155,8 +155,8 @@ def test_one_epoch_fits_in_one_gib():
         curve, peaks[n] = conftest.run_with_address_limit(2**30, one_capped_epoch, n // 10)
         assert len(curve) == 1 and np.isfinite(curve[0])
     # Training keeps nothing per pivot beyond its batch, so from N = 1,000 to
-    # 2,000 the peak may grow only by what the kNN stage needs: its N x N
-    # float64 similarity block (one block while N < 2,896) and the (N, 200)
+    # 2,000 the peak may grow only by what the kNN stage needs: its float64
+    # similarity block (N x N up to N = 1,448, ~16 MiB beyond) and the (N, 200)
     # neighbor table, built as int64 ids and float64 similarities, then copied
     # to float32. Caching every pivot's edges would add about 60 KiB a pivot.
     knn_block = 8 * (2000**2 - 1000**2)
