@@ -62,10 +62,12 @@ def clamp_config(cfg: IpsConfig, n: int) -> IpsConfig:
     return cfg
 
 
-# Candidate ids one block of pivots may hold: 64 pivots of the test regime's
-# largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each). Each int64
-# array over a full block's candidates is then about 1.2 MiB.
-BLOCK_CANDIDATES = 64 * (80 + 80 * 5) * 5
+# Candidate ids one block of pivots may hold: 16 pivots of the test regime's
+# largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each). On
+# perfbench's cluster_test input (D = 64) a 16-pivot block held at most
+# 1.3 MiB of subgraphs and peaked at 2.2 MiB while it was built (tracemalloc);
+# 64 pivots held 4.8 MiB and peaked at 8.0 MiB, for no speed gain.
+BLOCK_CANDIDATES = 16 * (80 + 80 * 5) * 5
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,8 @@ class InstancePivotSubgraph:
 def pivot_blocks(n: int, cfg: IpsConfig) -> list:
     """Pivot id ranges covering 0..n-1, one per block. A block holds as many
     pivots as keep the candidates of the regime's largest possible subgraphs
-    within BLOCK_CANDIDATES, and at least one."""
+    within BLOCK_CANDIDATES, and at least one: 16 in the test regime (80, 5, 5)
+    once N > 480, one in the train regime (200, 10, 10) once N > 1,921."""
     largest, reach = 0, 1
     for k in cfg.k_per_hop:
         reach *= k

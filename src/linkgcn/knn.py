@@ -86,11 +86,12 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     Ordering is by cosine similarity whether or not the rows were
     pre-normalized, with ties broken by ascending instance id. Row blocks
     are spread over thread_count(workers) threads, each computing a block's
-    similarities and its top-k, in one ~16 MiB block of scratch per thread.
-    Worker-count invariant. Blocks stay at ~16 MiB at any N, so at large N
-    they hold few rows (69 at N = 30,000) and the matmul repacks unit.T once
-    per block: there one thread runs slower than with one larger block, and
-    two or more run faster.
+    similarities and its top-k, in one block of at most 256 rows and
+    ~16 MiB of scratch per thread. Worker-count invariant. Past N = 8,192
+    the 16 MiB cap sets the rows, so at large N blocks hold few rows (69 at
+    N = 30,000) and the matmul repacks unit.T once per block: there one
+    thread runs slower than with one larger block, and two or more run
+    faster.
     """
     threads = thread_count(workers)
     if k < 1:
@@ -112,17 +113,19 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
 
     run_threads hands whole row blocks to `workers` threads. Each thread
     computes a block's similarities with one float64 matmul into its own
-    buffer of at most ~16 MiB, allocated once and reused, then selects the
-    block's rows in chunks of ~1 MiB of partition indices (_select_rows)
-    while the block is still in cache. The block rows depend only on N, so
-    the result does not depend on the thread count. Scratch memory is, per
-    thread, one block plus about 1 MiB.
+    buffer, allocated once and reused, then selects the block's rows in
+    chunks of ~1 MiB of partition indices (_select_rows) while the block is
+    still in cache. A block holds N rows up to N = 256, 256 rows up to
+    N = 8,192, and ~16 MiB of rows beyond: more rows than 256 cost memory
+    and bring no speed. The block rows depend only on N, so the result does
+    not depend on the thread count. Scratch memory is, per thread, one block
+    plus about 1 MiB.
     """
     unit = np.ascontiguousarray(unit, dtype=np.float64)
     n = unit.shape[0]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float64)
-    block = max(1, min(n, (16 << 20) // (8 * n)))  # ~16 MiB of similarities
+    block = max(1, min(n, 256, (16 << 20) // (8 * n)))  # <= 256 rows, ~16 MiB
     chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices
     scratch = threading.local()
 

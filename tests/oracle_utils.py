@@ -209,7 +209,7 @@ def topk_cosine_oracle(unit, k):
     n = unit.shape[0]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float64)
-    block = max(1, min(n, (16 << 20) // (8 * n)))
+    block = max(1, min(n, 256, (16 << 20) // (8 * n)))
     ids = np.arange(n)
     for start in range(0, n, block):
         stop = min(start + block, n)

@@ -261,7 +261,8 @@ def test_blocks_match_loop_oracles(synth_1k_set, synth_1k_nbrs, k_per_hop):
 
 
 def test_blocks_match_loop_oracles_train_regime():
-    spec = SynthSpec(num_identities=6, samples_per_identity=(40, 40), dim=16,
+    # 246 instances make 16 blocks of 15 pivots and a last block of 6
+    spec = SynthSpec(num_identities=6, samples_per_identity=(41, 41), dim=16,
                      center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
     fs = normalize_rows(synth_generate(spec))
     nbrs = build_knn(fs, fs.n - 1)

@@ -168,10 +168,10 @@ def unit_rows(rng, n, d, decimals=None, duplicates=0):
     (300, 4, 1, 40, 1),
     (300, 4, 1, 40, 299),    # k = N-1: every other row
     (120, 2, 1, 60, 50),     # 2-D, half duplicates: ties everywhere
-    (2897, 8, 1, 200, 80),   # five row blocks, the last of 5 rows
+    (2897, 8, 1, 200, 80),   # twelve row blocks, the last of 81 rows
     (2897, 16, None, 0, 80),
-    (2300, 8, 1, 150, 80),   # three row blocks, the last of 478 rows: threads take unequal shares
-    (4500, 8, 1, 300, 80),   # ten row blocks: each thread's block buffer is reused
+    (2300, 8, 1, 150, 80),   # nine row blocks, the last of 252 rows: threads take unequal shares
+    (4500, 8, 1, 300, 80),   # eighteen row blocks, the last of 148: each thread's buffer is reused
     (1200, 4, 1, 100, 1199),  # k = N-1 over several chunks
     (40, 3, 1, 10, 5),       # N far below one chunk: a single chunk
 ])
@@ -222,13 +222,13 @@ def test_build_knn_matches_lexsort_oracle_on_ties():
 
 
 def test_topk_cosine_scratch_is_one_block():
-    # eighteen row blocks of up to 349 rows: a block-wide partition or
-    # comparison, or a new similarity block per row block, would hold a second
-    # ~16 MiB block per thread. The slack covers each thread's ~1 MiB of chunk
-    # scratch.
+    # twenty-four row blocks of up to 256 rows (11.7 MiB): a block-wide
+    # partition or comparison, or a new similarity block per row block, would
+    # hold a second block per thread. The slack covers each thread's ~1 MiB of
+    # chunk scratch.
     n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
-    block_bytes = min(n, (16 << 20) // (8 * n)) * n * 8
+    block_bytes = min(n, 256, (16 << 20) // (8 * n)) * n * 8
     out_bytes = 2 * n * k * 8
     for workers in (1, 2):
         tracemalloc.start()

@@ -93,7 +93,7 @@ def test_scoring_threads_are_bounded(synth_1k_set, synth_1k_nbrs, scored, monkey
 
 
 def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, monkeypatch):
-    # four real threads over 16 blocks, whatever the machine's core count:
+    # four real threads over 63 blocks, whatever the machine's core count:
     # asked for, and derived from one BLAS thread on four usable cores
     model, reference = scored
     created = []
@@ -121,16 +121,21 @@ def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, mon
 WIDTHS = [64, 256, 256, 128, 64]  # the default model at D = 64
 
 
+def default_model_input(num_identities):
+    """Identities of 20-100 instances plus 10% distractors at D = 64, and the
+    default mean model."""
+    spec = SynthSpec(num_identities=num_identities, samples_per_identity=(20, 100),
+                     dim=WIDTHS[0], center_spread=1.0, noise_scale=(0.02, 0.2),
+                     outlier_fraction=0.1, seed=5)
+    return normalize_rows(synth_generate(spec)), init_model(WIDTHS, "mean", seed_stream(0, "init"))
+
+
 def capped_scoring(workers):
     """Digest of the edges predict_links scores on `workers` threads, on as
     many pretend usable cores: 1,172 instances at D = 64 in the test regime,
     with the default mean model. Replaces os.sched_getaffinity, so it runs
     only in run_with_address_limit's child."""
-    spec = SynthSpec(num_identities=20, samples_per_identity=(20, 100), dim=WIDTHS[0],
-                     center_spread=1.0, noise_scale=(0.02, 0.2), outlier_fraction=0.1,
-                     seed=5)
-    fs = normalize_rows(synth_generate(spec))
-    model = init_model(WIDTHS, "mean", seed_stream(0, "init"))
+    fs, model = default_model_input(20)
     nbrs = build_knn(fs, IPS.table_k)
     knn.os.sched_getaffinity = lambda pid: set(range(workers))
     edges = pipeline.predict_links(fs, nbrs, model, IPS, workers=workers)
@@ -143,16 +148,56 @@ def test_extra_workers_cost_less_than_a_block_each():
         digests[workers], peaks[workers] = conftest.run_with_address_limit(
             2**31, capped_scoring, workers)
     assert digests[1] == digests[4]
-    # A worker holds one block's subgraphs and one pivot's forward pass at a
-    # time. For the regime's largest subgraph (80 + 80 * 5 nodes) that is the
-    # block's float32 node features, four int64 wiring arrays of
-    # BLOCK_CANDIDATES, the dense mixing matrix, and every layer's input,
-    # concatenation and output: about 18 MiB.
+    # a worker holds one block's subgraphs and one pivot's forward pass at a time
+    assert peaks[4] - peaks[1] < 3 * (pivot_block_bytes() + forward_bytes()), peaks
+
+
+def pivot_block_bytes():
+    """What a scoring worker's block of subgraphs can hold for the test
+    regime's largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each):
+    the block's float32 node features and four int64 wiring arrays of
+    BLOCK_CANDIDATES. About 3 MiB."""
     nodes = 80 + 80 * 5
-    block = 64 * nodes * WIDTHS[0] * 4 + 4 * BLOCK_CANDIDATES * 8
+    pivots = BLOCK_CANDIDATES // (nodes * 5)
+    return pivots * nodes * WIDTHS[0] * 4 + 4 * BLOCK_CANDIDATES * 8
+
+
+def forward_bytes():
+    """One pivot's forward pass through the default model on the largest
+    subgraph: the dense mixing matrix and every layer's input, concatenation
+    and output in float32. About 6 MiB."""
+    nodes = 80 + 80 * 5
     layers = sum(3 * d_in + d_out for d_in, d_out in zip(WIDTHS, WIDTHS[1:]))
-    forward = 4 * nodes * (nodes + layers)
-    assert peaks[4] - peaks[1] < 3 * (block + forward), peaks
+    return 4 * nodes * (nodes + layers)
+
+
+def capped_cluster(cores):
+    """Digest of the partition and pooled edges pipeline.cluster gives with
+    the derived thread count on `cores` pretend usable cores (BLAS runs on one
+    thread in the child): 2,179 instances at D = 64 in the test regime, with
+    the default mean model. Replaces os.sched_getaffinity, so it runs only in
+    run_with_address_limit's child."""
+    fs, model = default_model_input(34)
+    knn.os.sched_getaffinity = lambda pid: set(range(cores))
+    assignment, edges, _ = pipeline.cluster(fs, model, IPS)
+    return hashlib.sha256(assignment.tobytes() + edges.i.tobytes() + edges.j.tobytes()
+                          + edges.w.tobytes()).hexdigest(), fs.n
+
+
+def test_cluster_memory_per_extra_thread():
+    # Both threaded stages of cluster: a kNN thread holds one similarity block
+    # of at most 256 rows, a scoring thread one block of subgraphs and one
+    # forward pass. Going from 1 to 4 threads may add three of each, plus
+    # what the runtime keeps per thread (stack, allocator arena): 1 MiB each.
+    results, peaks = {}, {}
+    for cores in (1, 4):
+        results[cores], peaks[cores] = conftest.run_with_address_limit(
+            2**31, capped_cluster, cores)
+    assert results[1] == results[4]
+    n = results[1][1]
+    knn_block = min(n, 256) * n * 8
+    per_thread = knn_block + pivot_block_bytes() + forward_bytes() + 2**20
+    assert peaks[4] - peaks[1] < 3 * per_thread, peaks
 
 
 def capped_prediction(fs, nbrs):
