@@ -127,13 +127,12 @@ def cmd_cluster(args):
 def cmd_eval(args):
     truth = dataset.load_labels(args.labels)
     pred = merge.load_partition(args.partition)
-    mode = "ignore" if args.ignore_distractors else args.distractors
-    report = metrics.evaluate(truth, pred, distractors=mode)
+    report = metrics.evaluate(truth, pred, distractors=args.distractors)
     print(report.as_table())
     if args.drop_singletons:
         mask, removed = merge.filter_singletons(pred)
         if mask.any():
-            filtered = metrics.evaluate(truth[mask], pred[mask], distractors=mode)
+            filtered = metrics.evaluate(truth[mask], pred[mask], distractors=args.distractors)
             print(f"\nafter dropping singletons ({removed:.1%} removed):")
             print(filtered.as_table())
         else:
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--drop-singletons", action="store_true")
-    p.add_argument("--ignore-distractors", action="store_true")
     p.add_argument("--distractors", choices=("keep", "ignore", "unique"), default="keep")
     p.set_defaults(func=cmd_eval)
 

@@ -152,12 +152,13 @@ def load_labels(path) -> np.ndarray:
 
 def normalize_rows(fs: FeatureSet) -> FeatureSet:
     """Scale every row to unit Euclidean norm. Labels carry over."""
-    norms = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+    feats = fs.features.astype(np.float64)
+    norms = np.linalg.norm(feats, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero-norm row at index {zero[0]}")
-    feats = (fs.features.astype(np.float64) / norms[:, None]).astype(np.float32)
-    return FeatureSet(features=feats, labels=fs.labels, normalized=True)
+    feats /= norms[:, None]
+    return FeatureSet(features=feats.astype(np.float32), labels=fs.labels, normalized=True)
 
 
 def synth_generate(spec: SynthSpec) -> FeatureSet:

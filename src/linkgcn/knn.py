@@ -104,12 +104,13 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
         raise ValueError("zero-norm row; cosine ordering undefined")
     unit /= norms[:, None]
     idx, sim = topk_cosine(unit, k, workers=threads)
-    return NeighborTable(indices=idx, similarities=sim.astype(np.float32))
+    return NeighborTable(indices=idx, similarities=sim)
 
 
 def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k neighbor ids and similarities per row, self excluded,
-    ordered by (similarity desc, id asc). Rows are assumed unit-normalized.
+    """Exact top-k neighbor ids (int64) and similarities (float32) per row,
+    self excluded, ordered by (similarity desc, id asc) of the float64
+    similarities. Rows are assumed unit-normalized.
 
     run_threads hands whole row blocks to `workers` threads. Each thread
     computes a block's similarities with one float64 matmul into its own
@@ -124,7 +125,7 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
     unit = np.ascontiguousarray(unit, dtype=np.float64)
     n = unit.shape[0]
     out_idx = np.empty((n, k), dtype=np.int64)
-    out_sim = np.empty((n, k), dtype=np.float64)
+    out_sim = np.empty((n, k), dtype=np.float32)
     block = max(1, min(n, 256, (16 << 20) // (8 * n)))  # <= 256 rows, ~16 MiB
     chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices
     scratch = threading.local()
@@ -146,7 +147,8 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
 
 def _select_rows(sims: np.ndarray, k: int, out_idx: np.ndarray, out_sim: np.ndarray) -> None:
     """Write the top-k columns of each row of sims, by (similarity desc, id
-    asc), into out_idx and out_sim.
+    asc), into out_idx and their similarities into out_sim, which rounds
+    them to its own dtype.
 
     One partition finds each row's k + 1 largest entries, which are sorted.
     Where the (k+1)-th value is below the k-th, every column left out is below

@@ -152,8 +152,8 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
 def filter_singletons(assignment: np.ndarray):
     """Mask out size-1 clusters; returns (keep mask, fraction removed)."""
     assignment = np.asarray(assignment)
-    sizes = np.bincount(assignment)
-    mask = sizes[assignment] > 1
+    _, which, sizes = np.unique(assignment, return_inverse=True, return_counts=True)
+    mask = sizes[which] > 1
     return mask, float(np.sum(~mask)) / assignment.shape[0]
 
 

@@ -30,13 +30,27 @@ class EvalReport:
 
 
 def _contingency(truth: np.ndarray, pred: np.ndarray):
+    """The non-zero cells of the classes x clusters table, in row-major order.
+
+    Classes and clusters are relabelled densely; returns each cell's class
+    and cluster index and its count, and the class and cluster sizes, the
+    counts and sizes as exact float64 integers. Memory is O(N), whatever
+    the number of classes and clusters.
+    """
+    truth = np.asarray(truth)
+    pred = np.asarray(pred)
+    if truth.shape != pred.shape:
+        raise ValueError(f"length mismatch: {truth.shape} vs {pred.shape}")
+    if truth.size == 0:
+        raise ValueError("nothing to evaluate")
     _, ti = np.unique(truth, return_inverse=True)
-    _, pi = np.unique(pred, return_inverse=True)
-    n_t = ti.max() + 1
-    n_p = pi.max() + 1
-    table = np.zeros((n_t, n_p), dtype=np.float64)
-    np.add.at(table, (ti, pi), 1.0)
-    return table
+    clusters, pi = np.unique(pred, return_inverse=True)
+    cells, counts = np.unique(ti * clusters.size + pi, return_counts=True)
+    rows, cols = np.divmod(cells, clusters.size)
+    counts = counts.astype(np.float64)
+    class_sizes = np.bincount(rows, weights=counts)
+    cluster_sizes = np.bincount(cols, weights=counts)
+    return rows, cols, counts, class_sizes, cluster_sizes
 
 
 def nmi(truth: np.ndarray, pred: np.ndarray) -> float:
@@ -46,39 +60,28 @@ def nmi(truth: np.ndarray, pred: np.ndarray) -> float:
     cluster (necessarily identical) the score is 1; if exactly one side has
     zero entropy the score is 0.
     """
-    truth = np.asarray(truth)
-    pred = np.asarray(pred)
-    if truth.shape != pred.shape:
-        raise ValueError(f"length mismatch: {truth.shape} vs {pred.shape}")
-    table = _contingency(truth, pred)
-    n = table.sum()
-    pt = table.sum(axis=1) / n
-    pp = table.sum(axis=0) / n
-    h_t = -np.sum(pt * np.log(pt, where=pt > 0, out=np.zeros_like(pt)))
-    h_p = -np.sum(pp * np.log(pp, where=pp > 0, out=np.zeros_like(pp)))
+    rows, cols, counts, class_sizes, cluster_sizes = _contingency(truth, pred)
+    n = counts.sum()
+    pt = class_sizes / n
+    pp = cluster_sizes / n
+    h_t = -np.sum(pt * np.log(pt))
+    h_p = -np.sum(pp * np.log(pp))
     if h_t == 0.0 and h_p == 0.0:
         return 1.0
     if h_t == 0.0 or h_p == 0.0:
         return 0.0
-    joint = table / n
-    ratio = joint / np.outer(pt, pp)
-    mi = np.sum(joint * np.log(ratio, where=joint > 0, out=np.zeros_like(joint)))
+    joint = counts / n
+    mi = np.sum(joint * np.log(joint / (pt[rows] * pp[cols])))
     return float(mi / np.sqrt(h_t * h_p))
 
 
 def bcubed(truth: np.ndarray, pred: np.ndarray):
     """Per-instance precision/recall over co-cluster and co-label pairs,
     self-pairs included; F is their harmonic mean."""
-    truth = np.asarray(truth)
-    pred = np.asarray(pred)
-    if truth.shape != pred.shape:
-        raise ValueError(f"length mismatch: {truth.shape} vs {pred.shape}")
-    table = _contingency(truth, pred)
-    n = table.sum()
-    class_sizes = table.sum(axis=1)
-    cluster_sizes = table.sum(axis=0)
-    precision = float(np.sum(table ** 2 / cluster_sizes[None, :]) / n)
-    recall = float(np.sum(table ** 2 / class_sizes[:, None]) / n)
+    rows, cols, counts, class_sizes, cluster_sizes = _contingency(truth, pred)
+    n = counts.sum()
+    precision = float(np.sum(counts ** 2 / cluster_sizes[cols]) / n)
+    recall = float(np.sum(counts ** 2 / class_sizes[rows]) / n)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
 

@@ -335,8 +335,23 @@ def test_eval_distractor_flag(synth_dir, trained_dir, tmp_path, capsys):
     code, stdout, _ = run(capsys, "eval",
                           "--partition", str(out / "partition.tsv"),
                           "--labels", str(synth_dir / "labels.lbls"),
-                          "--ignore-distractors")
+                          "--distractors", "ignore")
     assert code == 0
+
+
+def test_eval_drop_singletons_with_huge_cluster_labels(synth_dir, tmp_path, capsys):
+    # 40 instances: three clusters of 10 with labels near 5e12, then 10
+    # singletons; counting sizes by label would need terabytes
+    part = tmp_path / "p.tsv"
+    big = 5_000_000_000_000
+    part.write_text("".join(f"{i}\t{big + (i // 10 if i < 30 else i)}\n" for i in range(40)))
+    code, stdout, err = run(capsys, "eval", "--partition", str(part),
+                            "--labels", str(synth_dir / "labels.lbls"),
+                            "--distractors", "unique", "--drop-singletons")
+    assert (code, err) == (0, "")
+    assert "after dropping singletons (25.0% removed):" in stdout
+    assert stdout.count("BCubed F") == 2
+    assert stdout.rstrip().endswith("evaluated  30")
 
 
 def test_malformed_inputs_exit_one_line(synth_dir, trained_dir, tmp_path, capsys):

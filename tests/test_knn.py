@@ -178,9 +178,10 @@ def unit_rows(rng, n, d, decimals=None, duplicates=0):
 def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
     want_idx, want_sim = topk_cosine_oracle(unit, k)
+    want_sim = want_sim.astype(np.float32)
     for workers in (1, 2, 3):
         idx, sim = knn.topk_cosine(unit, k, workers=workers)
-        assert idx.dtype == want_idx.dtype and sim.dtype == want_sim.dtype
+        assert idx.dtype == np.int64 and sim.dtype == np.float32
         assert np.array_equal(idx, want_idx), workers
         assert sim.tobytes() == want_sim.tobytes(), workers
 
@@ -203,7 +204,7 @@ def test_topk_cosine_chunk_boundary_inside_tied_rows():
         for workers in (1, 2, 3):
             idx, sim = knn.topk_cosine(unit, k, workers=workers)
             assert np.array_equal(idx, want_idx), workers
-            assert sim.tobytes() == want_sim.tobytes(), workers
+            assert sim.tobytes() == want_sim.astype(np.float32).tobytes(), workers
     finally:
         sys.setswitchinterval(interval)
 
@@ -229,7 +230,7 @@ def test_topk_cosine_scratch_is_one_block():
     n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
     block_bytes = min(n, 256, (16 << 20) // (8 * n)) * n * 8
-    out_bytes = 2 * n * k * 8
+    out_bytes = n * k * (8 + 4)  # int64 ids, float32 similarities
     for workers in (1, 2):
         tracemalloc.start()
         try:

@@ -342,6 +342,13 @@ def test_filter_singletons_none_removed():
     assert mask.all() and frac == 0.0
 
 
+def test_filter_singletons_huge_labels():
+    big = 5_000_000_000_000
+    mask, frac = filter_singletons(np.array([big, 7, big, 2 * big]))
+    np.testing.assert_array_equal(mask, [True, False, True, False])
+    assert frac == 0.5
+
+
 def test_filter_singletons_never_touches_clusters():
     rng = np.random.default_rng(10)
     assignment = rng.integers(0, 20, 100)

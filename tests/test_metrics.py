@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,62 @@ def test_evaluate_distractor_modes():
     assert unique.n_evaluated == 5
     # under "unique", the distractor merged into cluster 1 hurts precision
     assert unique.bcubed_precision < 1.0
+
+
+def oracle_view(truth, pred, distractors):
+    """What evaluate scores in each distractor mode, built without its code:
+    "ignore" drops label -1, "unique" gives each such instance its own label."""
+    truth, pred = np.asarray(truth).tolist(), np.asarray(pred).tolist()
+    if distractors == "ignore":
+        keep = [i for i, t in enumerate(truth) if t >= 0]
+        return [truth[i] for i in keep], [pred[i] for i in keep]
+    if distractors == "unique":
+        truth = [t if t >= 0 else ("distractor", i) for i, t in enumerate(truth)]
+    return truth, pred
+
+
+@pytest.mark.parametrize("distractors", ["keep", "ignore", "unique"])
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_sparse_partitions_match_oracles(seed, distractors):
+    # mostly singleton clusters and labels far above N: most cells of the
+    # classes x clusters table are empty
+    rng = np.random.default_rng(seed)
+    n = 240
+    truth = rng.integers(0, 30, n) * 10**12 + 7
+    truth[rng.random(n) < 0.2] = -1
+    pred = rng.integers(0, 40, n) * 3 * 10**15
+    singles = rng.random(n) < 0.6
+    pred[singles] = 5 * 10**17 + rng.permutation(n)[:singles.sum()]
+    rep = evaluate(truth, pred, distractors=distractors)
+    t, p = oracle_view(truth, pred, distractors)
+    assert rep.n_evaluated == len(t)
+    assert rep.nmi == pytest.approx(nmi_contingency_oracle(t, p), abs=1e-12)
+    assert (rep.bcubed_precision, rep.bcubed_recall, rep.bcubed_f) == pytest.approx(
+        bcubed_pair_oracle(t, p), abs=1e-12)
+
+
+def test_evaluate_memory_does_not_grow_with_classes_times_clusters():
+    # 1,600 classes with distractors unique x 5,500 clusters: a dense table
+    # takes 67 MiB, its non-zero cells are at most 8,000
+    rng = np.random.default_rng(0)
+    n = 8000
+    truth = np.repeat(np.arange(800), 9)[:n - 800]
+    truth = np.concatenate([truth, np.full(800, -1)])
+    pred = rng.permutation(np.arange(n) % 5500) * 1000
+    tracemalloc.start()
+    try:
+        evaluate(truth, pred, distractors="unique")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak / 2**20
+
+
+def test_metrics_reject_empty_input():
+    with pytest.raises(ValueError, match="nothing"):
+        nmi(np.array([], np.int64), np.array([], np.int64))
+    with pytest.raises(ValueError, match="nothing"):
+        bcubed(np.array([], np.int64), np.array([], np.int64))
 
 
 def test_evaluate_f_consistency():
