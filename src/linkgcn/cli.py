@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -273,6 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _innermost_function(exc: BaseException) -> str:
+    """The innermost linkgcn function on exc's traceback, as module.function;
+    a nested function is named by the function that defines it."""
+    name = "linkgcn"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("linkgcn."):
+            code = frame.f_code
+            name = f"{module}.{getattr(code, 'co_qualname', code.co_name).split('.<locals>')[0]}"
+    return name
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -284,6 +297,10 @@ def main(argv=None) -> int:
             args.func(args)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: out of memory in {_innermost_function(exc)}{detail}", file=sys.stderr)
             return 1
     return 0
 

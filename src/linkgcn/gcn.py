@@ -171,11 +171,13 @@ def _mlp_backward(dscores, ei, ej, cache, X, w1, w2):
 # forward / backward
 
 def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-                   head_rows: int | None = None):
+                   head_rows: int | None = None, caches: list | None = None):
     """Every layer and the head over the graph with edges (ei, ej), sorted
     row-major. The last layer and the head cover only the first head_rows
-    nodes (all of them by default). Returns (logits, last layer's output,
-    per-layer caches (X, G, C, Z, softmax cache or None))."""
+    nodes (all of them by default). Returns (logits, last layer's output).
+    A `caches` list receives each layer's (X, G, C, Z, softmax cache or
+    None), which the backward pass reads; without one, a layer's arrays are
+    freed as the next layer starts."""
     X = np.ascontiguousarray(X0, dtype=model.dtype)
     n = X.shape[0]
     last = len(model.layer_weights) - 1
@@ -183,7 +185,6 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
     mean_w = None
     if model.aggregator == "mean":
         mean_w = _mean_weights(ei, ej, segs[0], model.dtype, model.mean_row_normalized)
-    caches = []
     for l, W in enumerate(model.layer_weights):
         w, soft = mean_w, None
         if mean_w is None:
@@ -199,11 +200,13 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
         r = head_rows if l == last else None
         C = np.concatenate([X[:r], G[:r] @ X], axis=1)
         Z = C @ W
-        Y = np.maximum(Z, 0)
-        caches.append((X, G, C, Z, soft))
-        X = Y
+        if caches is not None:
+            caches.append((X, G, C, Z, soft))
+        del C  # each layer's arrays go before the next layer's are allocated
+        X = np.maximum(Z, 0)
+        del Z
     logits = X @ model.head_weight + model.head_bias
-    return logits, X, caches
+    return logits, X
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -218,8 +221,8 @@ def forward(model: GcnModel, ips: InstancePivotSubgraph) -> np.ndarray:
     Node order is hop-major, so the 1-hop nodes are the first hop1_count
     rows; the last layer and the head run on those rows only.
     """
-    logits, _, _ = _forward_edges(model, ips.features, ips.edges[0], ips.edges[1],
-                                  head_rows=ips.hop1_count)
+    logits, _ = _forward_edges(model, ips.features, ips.edges[0], ips.edges[1],
+                               head_rows=ips.hop1_count)
     return _softmax(logits)[:, 1]
 
 
@@ -288,8 +291,9 @@ def loss_and_grads_edges(model: GcnModel, X0, edges, hop1_labels, denom=None):
     labels = np.asarray(hop1_labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("no nodes carry loss (empty 1-hop set)")
-    logits, last, caches = _forward_edges(model, X0, edges[0], edges[1],
-                                          head_rows=labels.size)
+    caches = []
+    logits, last = _forward_edges(model, X0, edges[0], edges[1], head_rows=labels.size,
+                                  caches=caches)
     loss, dlogits = _cross_entropy(logits, labels, labels.size if denom is None else denom)
     return loss, _backward(model, caches, last, dlogits)
 

@@ -82,38 +82,66 @@ def pool_edges(hop1_nodes, likelihoods) -> WeightedEdgeSet:
     return WeightedEdgeSet(i=key, j=j, w=w)
 
 
-def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+# Items _components reads at a time. Its working memory is O(N) plus one
+# chunk's temporaries: 4.4 MB measured with every edge kept.
+EDGE_CHUNK = 1 << 17
+
+
+def _components(n: int, kept_edges, count: int, chunk: int = EDGE_CHUNK) -> np.ndarray:
     """Connected-component labels, components numbered by smallest member.
 
-    Vectorized min-label hooking: each root hooks onto the smallest lower
-    root it shares an edge with, then pointer jumping flattens the forest;
-    this repeats until no edge joins two roots. A root is always its tree's
+    kept_edges(lo, hi) returns, as (src, dst), the edges that items lo..hi-1
+    of the caller's `count` items keep; an item is an edge or a row of edges.
+    They are read `chunk` items at a time, and each chunk is joined before the
+    next is read, by vectorized min-label hooking: every root hooks onto the
+    smallest lower root it shares an edge with, then pointer jumping flattens
+    the forest, until none of the chunk's edges joins two roots. Trees only
+    merge, so an edge joined stays joined. A root is always its tree's
     smallest member.
     """
     parent = np.arange(n)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    while True:
-        ps, pd = parent[src], parent[dst]
-        cross = ps != pd
-        if not cross.any():
-            break
-        ps, pd = ps[cross], pd[cross]
-        np.minimum.at(parent, np.maximum(ps, pd), np.minimum(ps, pd))
+    for lo in range(0, count, chunk):
+        src, dst = kept_edges(lo, min(lo + chunk, count))
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            src, dst = parent[src], parent[dst]  # parent is flat: these are roots
+            cross = src != dst
+            if not cross.any():
                 break
-            parent = jumped
+            src, dst = src[cross], dst[cross]
+            np.minimum.at(parent, np.maximum(src, dst), np.minimum(src, dst))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
     return np.unique(parent, return_inverse=True)[1]
+
+
+def _edge_components(edges: WeightedEdgeSet, n: int, keep) -> np.ndarray:
+    """Components of the edges for which keep(w, i, j) holds, applied to each
+    chunk of the edge set's arrays."""
+    def kept_edges(lo, hi):
+        i, j = edges.i[lo:hi], edges.j[lo:hi]
+        mask = keep(edges.w[lo:hi], i, j)
+        return i[mask], j[mask]
+    return _components(n, kept_edges, len(edges))
+
+
+def table_components(n: int, indices: np.ndarray, keep) -> np.ndarray:
+    """Components of the links from each row r of an (n, k) kNN table to its
+    listed neighbors, kept where keep(lo, hi) is true, an (hi - lo, k) mask
+    over rows lo..hi-1; read in blocks of about EDGE_CHUNK links."""
+    def kept_edges(lo, hi):
+        rows, cols = np.nonzero(keep(lo, hi))
+        return rows + lo, indices[lo:hi][rows, cols]
+    return _components(n, kept_edges, n, chunk=max(1, EDGE_CHUNK // max(1, indices.shape[1])))
 
 
 def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:
     """Components of the graph keeping edges with weight >= tau."""
     if not (0.0 <= tau <= 1.0):
         raise ValueError(f"tau={tau} outside [0, 1]")
-    keep = edges.w >= tau
-    return _components(n, edges.i[keep], edges.j[keep])
+    return _edge_components(edges, n, lambda w, i, j: w >= tau)
 
 
 def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
@@ -123,7 +151,8 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
     Each round cuts edges below a threshold that rises by dtau; components
     no larger than max_size are finalized, larger ones are re-queued. Once
     the threshold passes 1 every component is a singleton, so the loop
-    terminates within ceil((1 - tau0) / dtau) + 2 rounds.
+    terminates within ceil((1 - tau0) / dtau) + 2 rounds. A round keeps
+    O(N) arrays and reads the edges in chunks, copying none whole.
     """
     if not (0.0 <= tau0 < 1.0):
         raise ValueError(f"tau0={tau0} outside [0, 1)")
@@ -137,8 +166,8 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
     t = 0
     while queued.any():
         tau = tau0 + t * dtau
-        keep = (edges.w >= tau) & queued[edges.i] & queued[edges.j]
-        comp = _components(n, edges.i[keep], edges.j[keep])
+        comp = _edge_components(edges, n,
+                                lambda w, i, j: (w >= tau) & queued[i] & queued[j])
         sizes = np.bincount(comp[queued], minlength=n)
         done = queued & ((sizes[comp] <= max_size) | (tau > 1.0))
         # component ids are < n, so an offset of n per round keeps labels
@@ -167,10 +196,10 @@ def threshold_baseline(fs: FeatureSet, nbrs: NeighborTable, tau_sim: float) -> n
     """Non-learned comparator: link kNN pairs whose raw cosine similarity
     clears a global threshold, then take components."""
     check_tau_sim(tau_sim)
-    keep = nbrs.similarities.astype(np.float64) >= tau_sim
-    src = np.repeat(np.arange(fs.n), nbrs.k)[keep.ravel()]
-    dst = nbrs.indices.ravel()[keep.ravel()]
-    return _components(fs.n, src, dst)
+    # a float64 scalar, so that the float32 similarities compare in float64
+    tau_sim = np.float64(tau_sim)
+    return table_components(fs.n, nbrs.indices,
+                            lambda lo, hi: nbrs.similarities[lo:hi] >= tau_sim)
 
 
 # ---------------------------------------------------------------------------

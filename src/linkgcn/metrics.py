@@ -9,7 +9,7 @@ import numpy as np
 
 from linkgcn.dataset import FeatureSet
 from linkgcn.knn import NeighborTable
-from linkgcn.merge import _components
+from linkgcn.merge import table_components
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,12 @@ def knn_upper_bound(fs: FeatureSet, nbrs: NeighborTable, k_list) -> list:
     for k in k_list:
         if k > nbrs.k:
             raise ValueError(f"k={k} exceeds neighbor table k={nbrs.k}")
-        src = np.repeat(np.arange(fs.n), k)
-        dst = nbrs.indices[:, :k].ravel()
-        same = (labels[src] == labels[dst]) & (labels[src] >= 0)
-        pred = _components(fs.n, src[same], dst[same])
+        indices = nbrs.indices[:, :k]
+
+        def same_identity(lo, hi):
+            own = labels[lo:hi, None]
+            return (own == labels[indices[lo:hi]]) & (own >= 0)
+
+        pred = table_components(fs.n, indices, same_identity)
         out.append((int(k), evaluate(labels, pred, distractors="unique")))
     return out

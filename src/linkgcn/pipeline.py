@@ -76,6 +76,7 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
         nbrs = build_knn(fs, ips_cfg.table_k, workers=workers)
         t1 = time.perf_counter()
         edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
+        del nbrs  # merging reads only the edges
         t2 = time.perf_counter()
     if merge == "propagate":
         assignment = propagate_cluster(edges, fs.n, tau0=tau0, dtau=dtau,

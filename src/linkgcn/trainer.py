@@ -148,7 +148,8 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
     hop1_labels = subgraph_labels(ips, fs.labels)
     rows = []
     for it in range(steps):
-        _, _, caches = _forward_edges(model, ips.features, *ips.edges)
+        caches = []
+        _forward_edges(model, ips.features, *ips.edges, caches=caches)
         for layer, (_, _, _, Z, _) in enumerate(caches):
             Y = np.maximum(Z, 0)
             for node in range(ips.size):

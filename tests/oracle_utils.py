@@ -30,7 +30,8 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
         mask = np.zeros(n, dtype=bool)
         mask[: n // 2 + 1] = True
         ei, ej = np.nonzero(A)
-        _, _, caches = gcn._forward_edges(model, X, ei, ej)
+        caches = []
+        gcn._forward_edges(model, X, ei, ej, caches=caches)
         margin = np.inf
         for layer, (X_in, _, _, Z, _) in enumerate(caches):
             margin = min(margin, float(np.min(np.abs(Z))))
@@ -142,7 +143,8 @@ def masked_loss_and_grads(model, X, A, labels, loss_mask):
     with the dense 0/1 adjacency A, every layer and the head run on every
     row, plus gradients in the order of model.parameters()."""
     rows = np.flatnonzero(loss_mask)
-    logits, last, caches = gcn._forward_edges(model, X, *np.nonzero(A))
+    caches = []
+    logits, last = gcn._forward_edges(model, X, *np.nonzero(A), caches=caches)
     loss, d_rows = gcn._cross_entropy(logits[rows], np.asarray(labels, np.int64)[rows],
                                       rows.size)
     dlogits = np.zeros_like(logits)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from linkgcn import cli, dataset, gcn, merge, pipeline, trainer
+from linkgcn import cli, dataset, gcn, knn, merge, pipeline, trainer
 from linkgcn.cli import build_parser, main
 from linkgcn.config import PipelineConfig, make_config, seed_stream
 from linkgcn.ips import IpsConfig, build_block
@@ -528,6 +528,31 @@ def test_baseline_bad_tau_sim_fails_before_knn(synth_dir, tmp_path, capsys, monk
 
 
 # ------------------------------------------------------------------- misc
+
+@pytest.mark.parametrize("command, module, name, stage", [
+    ("cluster", knn, "topk_cosine", "linkgcn.knn.build_knn"),
+    ("cluster", gcn, "_forward_edges", "linkgcn.gcn.forward"),
+    ("cluster", merge, "canonical_labels", "linkgcn.merge.propagate_cluster"),
+    ("baseline", knn, "topk_cosine", "linkgcn.knn.build_knn"),
+    ("baseline", merge, "_components", "linkgcn.merge.table_components"),
+])
+def test_out_of_memory_is_one_error_line(synth_dir, trained_dir, tmp_path, capsys,
+                                         monkeypatch, command, module, name, stage):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(module, name, no_memory)
+    out = tmp_path / "out"
+    if command == "cluster":
+        argv = cluster_args(synth_dir, trained_dir, out)
+    else:
+        argv = ["baseline", "--features", str(synth_dir / "features.fmat"), "--k", "5",
+                "--tau-sim", "0.8", "--out-dir", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: out of memory in {stage}: Unable to allocate 8.00 EiB for an array\n"
+    assert not out.exists()
+
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:

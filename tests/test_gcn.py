@@ -26,7 +26,9 @@ def first_g(aggregator, A, X, mlp=None, row_normalized=False):
     d, dt = X.shape[1], X.dtype
     model = gcn.GcnModel(aggregator, [np.zeros((2 * d, 1), dt)], np.zeros((1, 2), dt),
                          np.zeros(2, dt), None if mlp is None else [mlp], row_normalized)
-    return gcn._forward_edges(model, X, *np.nonzero(A))[2][0][1]
+    caches = []
+    gcn._forward_edges(model, X, *np.nonzero(A), caches=caches)
+    return caches[0][1]
 
 
 def mean_of(A, row_normalized=False):
@@ -225,7 +227,7 @@ def test_gconv_isolated_identity_selection():
     X = np.array([[1.0, -2.0], [3.0, -4.0]])
     A = np.zeros((2, 2))                  # isolated nodes: G = 0
     W = np.vstack([np.eye(2), np.zeros((2, 2))])
-    _, Y, _ = forward_dense(one_layer(W), X, A)
+    _, Y = forward_dense(one_layer(W), X, A)
     np.testing.assert_array_equal(Y, np.maximum(X, 0))
 
 
@@ -233,7 +235,7 @@ def test_gconv_swap_graph_hand_product():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])  # degree 1: G = A
     W = np.array([[1.0], [0.0], [0.0], [0.0]])
-    _, Y, _ = forward_dense(one_layer(W), X, A)
+    _, Y = forward_dense(one_layer(W), X, A)
     np.testing.assert_array_equal(Y, [[1.0], [0.0]])
 
 
@@ -246,7 +248,7 @@ def test_gconv_matches_dense_oracle():
     G = np.diag(deg ** -0.5) @ A @ np.diag(deg ** -0.5)
     W = rng.standard_normal((6, 2))
     expect = np.maximum(np.hstack([X, G @ X]) @ W, 0)
-    _, Y, _ = forward_dense(one_layer(W), X, A)
+    _, Y = forward_dense(one_layer(W), X, A)
     np.testing.assert_allclose(Y, expect, atol=1e-12)
 
 
@@ -302,7 +304,7 @@ def test_forward_matches_dense_full_forward(synth_1k_set, synth_1k_nbrs, aggrega
     worst = 0.0
     for pivot in (0, 333, 999):
         ips = build_block([pivot], synth_1k_set, synth_1k_nbrs, cfg)[0]
-        logits, _, _ = gcn._forward_edges(model, ips.features, *ips.edges)
+        logits, _ = gcn._forward_edges(model, ips.features, *ips.edges)
         expect = gcn._softmax(logits)[: ips.hop1_count, 1]
         probs = gcn.forward(model, ips)
         assert probs.shape == expect.shape
@@ -313,7 +315,7 @@ def test_forward_matches_dense_full_forward(synth_1k_set, synth_1k_nbrs, aggrega
 def test_forward_probs_sum_to_one(small_random_set):
     ips = make_ips(small_random_set)
     model = init_model([8, 4, 4, 4, 4], "mean", seed_stream(3, "init"), dtype=np.float64)
-    logits, _, _ = gcn._forward_edges(model, ips.features, *ips.edges)
+    logits, _ = gcn._forward_edges(model, ips.features, *ips.edges)
     p = gcn._softmax(logits)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
@@ -391,12 +393,12 @@ def test_gradients_match_finite_differences(aggregator):
 def test_permutation_equivariance(aggregator):
     model, X, A, labels, mask = random_instance(aggregator, seed=12)
     loss, _ = masked_loss_and_grads(model, X, A, labels, mask)
-    logits, _, _ = forward_dense(model, X, A)
+    logits, _ = forward_dense(model, X, A)
     rng = np.random.default_rng(0)
     perm = rng.permutation(X.shape[0])
     loss_p, _ = masked_loss_and_grads(model, X[perm], A[np.ix_(perm, perm)],
                                       labels[perm], mask[perm])
-    logits_p, _, _ = forward_dense(model, X[perm], A[np.ix_(perm, perm)])
+    logits_p, _ = forward_dense(model, X[perm], A[np.ix_(perm, perm)])
     assert loss_p == pytest.approx(loss, abs=1e-6)
     np.testing.assert_allclose(logits_p, logits[perm], atol=1e-6)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
-from linkgcn.knn import build_knn
-from linkgcn.merge import (WeightedEdgeSet, _components, bfs_cluster, canonical_labels,
+from linkgcn.knn import NeighborTable, build_knn
+from linkgcn.merge import (EDGE_CHUNK, WeightedEdgeSet, _components, bfs_cluster,
+                           canonical_labels,
                            filter_singletons, load_partition, pool_edges,
                            propagate_cluster, save_edges, save_partition,
                            threshold_baseline)
@@ -230,10 +231,15 @@ def test_bfs_cluster_ids_dense_and_by_smallest_member():
 
 # ------------------------------------------------------------- _components
 
+def edge_list_components(n, src, dst, chunk=EDGE_CHUNK):
+    """_components of a plain edge list, read `chunk` edges at a time."""
+    return _components(n, lambda lo, hi: (src[lo:hi], dst[lo:hi]), len(src), chunk)
+
+
 def assert_components_match_oracles(n, src, dst):
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    out = _components(n, src, dst)
+    out = edge_list_components(n, src, dst)
     assert out.dtype == np.int64 and out.shape == (n,)
     np.testing.assert_array_equal(out, bfs_components(n, src, dst))
     np.testing.assert_array_equal(out, union_find_components(n, src, dst))
@@ -270,6 +276,17 @@ def test_components_long_path_in_random_order():
     n = 100_000
     path = np.random.default_rng(10).permutation(n)
     assert_components_match_oracles(n, path[:-1], path[1:])
+
+
+def test_components_chunk_size_does_not_change_labels():
+    # criterion 7's random graphs: 3n random pairs on n in [10, 500] nodes
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n = int(rng.integers(10, 501))
+        src, dst = rng.integers(0, n, (2, 3 * n))
+        whole = edge_list_components(n, src, dst, chunk=src.size + 1)
+        np.testing.assert_array_equal(whole, union_find_components(n, src, dst))
+        np.testing.assert_array_equal(edge_list_components(n, src, dst, chunk=1), whole)
 
 
 # ------------------------------------------------------- propagate_cluster
@@ -359,6 +376,25 @@ def test_filter_singletons_never_touches_clusters():
             assert mask[i]
 
 
+def test_propagate_memory_does_not_grow_per_edge():
+    # a round keeps O(N) arrays and one chunk of edges at a time: tripling
+    # the edges (about 2 and 7 chunks) adds almost nothing. Copying each
+    # round's kept edges whole took about 26 bytes an edge.
+    n, peaks = 10_000, {}
+    for k in (30, 90):
+        edges = pooled_random_edges(np.random.default_rng(5), n, k)
+        tracemalloc.start()
+        try:
+            propagate_cluster(edges, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[k] = peak, len(edges)
+    (small, m_small), (large, m_large) = peaks[30], peaks[90]
+    assert m_small > 2 * EDGE_CHUNK and m_large > 6 * EDGE_CHUNK
+    assert large - small <= m_large - m_small, peaks
+
+
 # ------------------------------------------------------- threshold_baseline
 
 def test_baseline_tau_one_all_singletons(small_random_set):
@@ -380,6 +416,17 @@ def test_baseline_tau_minus_one_knn_components(small_random_set):
     src = np.repeat(np.arange(small_random_set.n), 5)
     oracle = union_find_components(small_random_set.n, src, nbrs.indices.ravel())
     np.testing.assert_array_equal(out, canonical_labels(oracle))
+
+
+def test_baseline_compares_float32_similarities_in_float64():
+    # np.float32(0.7) is just below 0.7, so at tau_sim = 0.7 the pair stays
+    # unlinked; compared in float32, 0.7 would round to it and link them
+    fs = FeatureSet(features=np.eye(3, dtype=np.float32))
+    sims = np.array([[np.float32(0.7)], [np.float32(0.7)], [0.5]], np.float32)
+    nbrs = NeighborTable(indices=np.array([[1], [0], [0]]), similarities=sims)
+    np.testing.assert_array_equal(threshold_baseline(fs, nbrs, 0.7), [0, 1, 2])
+    np.testing.assert_array_equal(threshold_baseline(fs, nbrs, float(np.float32(0.7))),
+                                  [0, 0, 1])
 
 
 # ---------------------------------------------------------------- text IO

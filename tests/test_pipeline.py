@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ import conftest
 from linkgcn import knn, pipeline
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.gcn import init_model
-from linkgcn.ips import BLOCK_CANDIDATES, IpsConfig, pivot_blocks
+from linkgcn.gcn import forward, init_model
+from linkgcn.ips import BLOCK_CANDIDATES, InstancePivotSubgraph, IpsConfig, pivot_blocks
 from linkgcn.knn import build_knn
 
 
@@ -164,11 +165,36 @@ def pivot_block_bytes():
 
 def forward_bytes():
     """One pivot's forward pass through the default model on the largest
-    subgraph: the dense mixing matrix and every layer's input, concatenation
-    and output in float32. About 6 MiB."""
+    subgraph, which frees each layer's arrays as the next layer starts: the
+    dense mixing matrix G and the widest layer's input X, mixed input GX,
+    concatenation [X | GX] and output Z, in float32. About 3 MiB."""
     nodes = 80 + 80 * 5
-    layers = sum(3 * d_in + d_out for d_in, d_out in zip(WIDTHS, WIDTHS[1:]))
-    return 4 * nodes * (nodes + layers)
+    layer = max(4 * d_in + d_out for d_in, d_out in zip(WIDTHS, WIDTHS[1:]))
+    return 4 * nodes * (nodes + layer)
+
+
+def test_forward_holds_one_layer_at_a_time():
+    # the test regime's largest subgraph: 80 hop-1 and 400 hop-2 nodes, each
+    # wired to 5 others. Keeping every layer's arrays took 5.7 MB here.
+    nodes = 80 + 80 * 5
+    rng = np.random.default_rng(0)
+    adj = np.zeros((nodes, nodes), dtype=bool)
+    wired = np.repeat(np.arange(nodes), 5)
+    adj[wired, rng.integers(0, nodes, wired.size)] = True
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    ips = InstancePivotSubgraph(
+        pivot=0, nodes=np.arange(1, nodes + 1), hop_of=np.repeat([1, 2], [80, nodes - 80]),
+        features=rng.standard_normal((nodes, WIDTHS[0])).astype(np.float32),
+        edges=np.stack(np.nonzero(adj)))
+    model = init_model(WIDTHS, "mean", seed_stream(0, "init"))
+    tracemalloc.start()
+    try:
+        assert forward(model, ips).shape == (80,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < forward_bytes(), peak
 
 
 def capped_cluster(cores):

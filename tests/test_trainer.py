@@ -282,7 +282,8 @@ def test_toy2d_matches_dense_reference():
     mask = np.arange(ips.size) < ips.hop1_count
     expect = []
     for it in range(8):
-        _, _, caches = gcn._forward_edges(model, ips.features, *ips.edges)
+        caches = []
+        gcn._forward_edges(model, ips.features, *ips.edges, caches=caches)
         for layer, (_, _, _, Z, _) in enumerate(caches):
             Y = np.maximum(Z, 0)
             expect += [(it, layer, int(ips.nodes[q]), Y[q, 0], Y[q, 1]) for q in range(ips.size)]
