@@ -82,12 +82,19 @@ def pool_edges(hop1_nodes, likelihoods) -> WeightedEdgeSet:
     return WeightedEdgeSet(i=key, j=j, w=w)
 
 
-# Items _components reads at a time. Its working memory is O(N) plus one
-# chunk's temporaries: 4.4 MB measured with every edge kept.
+# Fewest edges a merge reads at a time. A chunk holds at least N edges
+# too, since joining a chunk flattens the whole forest (O(N)): a merge pass
+# then costs O(E + N), and its working memory is O(N) plus one chunk's
+# temporaries, 4.4 MB measured at 2^17 edges with every edge kept.
 EDGE_CHUNK = 1 << 17
 
 
-def _components(n: int, kept_edges, count: int, chunk: int = EDGE_CHUNK) -> np.ndarray:
+def _edge_chunk(n: int) -> int:
+    """Edges a merge reads at a time over n instances."""
+    return max(EDGE_CHUNK, n)
+
+
+def _components(n: int, kept_edges, count: int, chunk: int) -> np.ndarray:
     """Connected-component labels, components numbered by smallest member.
 
     kept_edges(lo, hi) returns, as (src, dst), the edges that items lo..hi-1
@@ -124,17 +131,17 @@ def _edge_components(edges: WeightedEdgeSet, n: int, keep) -> np.ndarray:
         i, j = edges.i[lo:hi], edges.j[lo:hi]
         mask = keep(edges.w[lo:hi], i, j)
         return i[mask], j[mask]
-    return _components(n, kept_edges, len(edges))
+    return _components(n, kept_edges, len(edges), _edge_chunk(n))
 
 
 def table_components(n: int, indices: np.ndarray, keep) -> np.ndarray:
     """Components of the links from each row r of an (n, k) kNN table to its
     listed neighbors, kept where keep(lo, hi) is true, an (hi - lo, k) mask
-    over rows lo..hi-1; read in blocks of about EDGE_CHUNK links."""
+    over rows lo..hi-1; read in blocks of about _edge_chunk(n) links."""
     def kept_edges(lo, hi):
         rows, cols = np.nonzero(keep(lo, hi))
         return rows + lo, indices[lo:hi][rows, cols]
-    return _components(n, kept_edges, n, chunk=max(1, EDGE_CHUNK // max(1, indices.shape[1])))
+    return _components(n, kept_edges, n, max(1, _edge_chunk(n) // max(1, indices.shape[1])))
 
 
 def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:
@@ -196,10 +203,13 @@ def threshold_baseline(fs: FeatureSet, nbrs: NeighborTable, tau_sim: float) -> n
     """Non-learned comparator: link kNN pairs whose raw cosine similarity
     clears a global threshold, then take components."""
     check_tau_sim(tau_sim)
-    # a float64 scalar, so that the float32 similarities compare in float64
-    tau_sim = np.float64(tau_sim)
+    # the smallest float32 >= tau_sim: a float32 similarity clears it exactly
+    # when it clears tau_sim in float64, whatever numpy's promotion rules
+    threshold = np.float32(tau_sim)
+    if float(threshold) < tau_sim:
+        threshold = np.nextafter(threshold, np.float32(np.inf))
     return table_components(fs.n, nbrs.indices,
-                            lambda lo, hi: nbrs.similarities[lo:hi] >= tau_sim)
+                            lambda lo, hi: nbrs.similarities[lo:hi] >= threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linkgcn import merge
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.knn import NeighborTable, build_knn
 from linkgcn.merge import (EDGE_CHUNK, WeightedEdgeSet, _components, bfs_cluster,
                            canonical_labels,
                            filter_singletons, load_partition, pool_edges,
                            propagate_cluster, save_edges, save_partition,
-                           threshold_baseline)
+                           table_components, threshold_baseline)
 from oracle_utils import (bfs_components, pool_edges_oracle, propagate_oracle,
                           union_find_components)
 
@@ -289,6 +290,25 @@ def test_components_chunk_size_does_not_change_labels():
         np.testing.assert_array_equal(edge_list_components(n, src, dst, chunk=1), whole)
 
 
+def test_merge_chunks_hold_at_least_n_links(monkeypatch):
+    # joining a chunk flattens all n labels, so a chunk of fewer than n
+    # links would make a merge pass grow as E * N / chunk instead of E + N
+    n, chunks = 3 * EDGE_CHUNK, []
+
+    def recording_components(n, kept_edges, count, chunk):
+        chunks.append(chunk)
+        return _components(n, kept_edges, count, chunk)
+
+    monkeypatch.setattr(merge, "_components", recording_components)
+    src = np.arange(0, n - 1, 2)
+    edges = WeightedEdgeSet(i=src, j=src + 1, w=np.ones(src.size))
+    assert bfs_cluster(edges, 0.5, n).max() == n // 2 - 1
+    indices = np.repeat((np.arange(n) ^ 1)[:, None], 4, axis=1)
+    out = table_components(n, indices, lambda lo, hi: np.ones((hi - lo, 4), bool))
+    np.testing.assert_array_equal(out, np.arange(n) // 2)
+    assert chunks[0] >= n and chunks[1] * 4 >= n, chunks
+
+
 # ------------------------------------------------------- propagate_cluster
 
 def test_propagate_trivial_single_iteration():
@@ -427,6 +447,16 @@ def test_baseline_compares_float32_similarities_in_float64():
     np.testing.assert_array_equal(threshold_baseline(fs, nbrs, 0.7), [0, 1, 2])
     np.testing.assert_array_equal(threshold_baseline(fs, nbrs, float(np.float32(0.7))),
                                   [0, 0, 1])
+    # the float32 values around tau_sim, whichever way tau_sim rounds to float32
+    fs = FeatureSet(features=np.eye(2, dtype=np.float32))
+    for tau in (0.7, 0.1, -0.3, 1.0, -1.0, 0.5, 1 / 3):
+        near = np.float32(tau)
+        for sim in (np.nextafter(near, np.float32(-2)), near, np.nextafter(near, np.float32(2))):
+            nbrs = NeighborTable(indices=np.array([[1], [0]]),
+                                 similarities=np.full((2, 1), sim, np.float32))
+            linked = float(sim) >= tau
+            np.testing.assert_array_equal(threshold_baseline(fs, nbrs, tau),
+                                          [0, 0] if linked else [0, 1], err_msg=f"{tau} {sim}")
 
 
 # ---------------------------------------------------------------- text IO
