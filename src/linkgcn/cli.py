@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
-from linkgcn.config import MERGE_STRATEGIES, PipelineConfig, make_config
+from linkgcn.config import PipelineConfig, make_config
 from linkgcn.dataset import FeatureSet
 from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
 from linkgcn.knn import NeighborTable
@@ -33,17 +33,16 @@ def _parse_range(text: str, label: str, cast=int):
     return lo, hi
 
 
-def _load_feature_set(args, need_labels=False) -> FeatureSet:
+def _setup(args, need_labels=False):
+    """The run's config and its feature set, with --labels attached and rows
+    normalized unless the config turns that off."""
+    cfg = make_config(args.config, _config_overrides(args))
     fs = dataset.load_features(args.features)
     if getattr(args, "labels", None):
-        return FeatureSet(features=fs.features, labels=dataset.load_labels(args.labels))
-    if need_labels:
+        fs = FeatureSet(features=fs.features, labels=dataset.load_labels(args.labels))
+    elif need_labels:
         raise SystemExit("error: this command needs --labels")
-    return fs
-
-
-def _maybe_normalize(fs: FeatureSet, cfg) -> FeatureSet:
-    return dataset.normalize_rows(fs) if cfg.normalize else fs
+    return cfg, dataset.normalize_rows(fs) if cfg.normalize else fs
 
 
 def _parse_k_list(text: str) -> list:
@@ -94,8 +93,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = make_config(args.config, _config_overrides(args))
-    fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
+    cfg, fs = _setup(args, need_labels=True)
     model, curve = trainer.train(fs, cfg.train_config())
     out = _out_dir(args)
     gcn.save_model(model, out / "model.gcnm")
@@ -108,8 +106,7 @@ def cmd_train(args):
 
 
 def cmd_cluster(args):
-    cfg = make_config(args.config, _config_overrides(args))
-    fs = _maybe_normalize(_load_feature_set(args), cfg)
+    cfg, fs = _setup(args)
     model = gcn.load_model(args.checkpoint)
     ips_cfg = regime_config(cfg.test_k1, cfg.test_k2, cfg.test_u, cfg.hops)
     assignment, edges, timing = pipeline.cluster(
@@ -142,8 +139,7 @@ def cmd_eval(args):
 
 def cmd_upper_bound(args):
     ks = _parse_k_list(args.k_list)
-    cfg = make_config(args.config, _config_overrides(args))
-    fs = _maybe_normalize(_load_feature_set(args, need_labels=True), cfg)
+    _, fs = _setup(args, need_labels=True)
     k_list, nbrs = _clamped_knn(fs, ks)
     print("k\tF\tNMI")
     for k, report in metrics.knn_upper_bound(fs, nbrs, k_list):
@@ -170,8 +166,7 @@ def cmd_baseline(args):
     if args.k < 1:
         raise ValueError(f"--k must be an integer >= 1, got {args.k}")
     merge.check_tau_sim(args.tau_sim)
-    cfg = make_config(args.config, _config_overrides(args))
-    fs = _maybe_normalize(_load_feature_set(args), cfg)
+    _, fs = _setup(args)
     _, nbrs = _clamped_knn(fs, [args.k])
     assignment = merge.threshold_baseline(fs, nbrs, args.tau_sim)
     out = _out_dir(args)
@@ -191,6 +186,7 @@ def _add_common(sub, features=False, labels=False, out_dir=False):
     sub.add_argument("--seed", type=int, default=None)
     if features:
         sub.add_argument("--features", required=True, help="FMAT feature file")
+        sub.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     if labels:
         sub.add_argument("--labels", help="LBLS label file")
     if out_dir:
@@ -222,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-k1", dest="train_k1", type=int)
     p.add_argument("--train-k2", dest="train_k2", type=int)
     p.add_argument("--train-u", dest="train_u", type=int)
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("cluster", help="cluster a collection with a trained model")
@@ -231,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="threads selecting the kNN top-k and scoring pivots "
                         "(default 0: usable cores // BLAS threads)")
-    p.add_argument("--merge", choices=MERGE_STRATEGIES)
+    p.add_argument("--merge", choices=merge.STRATEGIES)
     p.add_argument("--tau", type=float)
     p.add_argument("--tau0", type=float)
     p.add_argument("--dtau", type=float)
@@ -239,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-k1", dest="test_k1", type=int)
     p.add_argument("--test-k2", dest="test_k2", type=int)
     p.add_argument("--test-u", dest="test_u", type=int)
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     p.set_defaults(func=cmd_cluster)
 
     p = subs.add_parser("eval", help="score a partition against identity labels")
@@ -252,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("upper-bound", help="same-identity kNN linking upper bound")
     _add_common(p, features=True, labels=True)
     p.add_argument("--k-list", default="1,2,4,8,16,32")
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     p.set_defaults(func=cmd_upper_bound)
 
     p = subs.add_parser("toy2d", help="trace 2-D layer embeddings during training")
@@ -268,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, features=True, out_dir=True)
     p.add_argument("--k", type=int, default=80)
     p.add_argument("--tau-sim", dest="tau_sim", type=float, required=True)
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
     p.set_defaults(func=cmd_baseline)
 
     return parser
@@ -298,9 +290,11 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except MemoryError as exc:
+        except (MemoryError, RuntimeError) as exc:
+            # e.g. a thread that cannot start under an address-space limit
+            what = "out of memory" if isinstance(exc, MemoryError) else "runtime error"
             detail = f": {exc}" if str(exc) else ""
-            print(f"error: out of memory in {_innermost_function(exc)}{detail}", file=sys.stderr)
+            print(f"error: {what} in {_innermost_function(exc)}{detail}", file=sys.stderr)
             return 1
     return 0
 

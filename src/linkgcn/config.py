@@ -20,11 +20,44 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
                                                          zlib.crc32(name.encode())]))
 
 
-MERGE_STRATEGIES = ("propagate", "bfs")
+@dataclass
+class TrainSettings:
+    """The model, optimizer and seed of a training run: their defaults and
+    checks, shared by PipelineConfig and trainer.TrainConfig."""
+    # model
+    aggregator: str = "mean"
+    hidden_dims: tuple = (256, 256, 128, 64)
+    attention_hidden: int = 64
+    # optimizer
+    epochs: int = 40
+    batch_size: int = 16
+    lr: float = 0.01
+    momentum: float = 0.9
+    lr_decay: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        from linkgcn.gcn import AGGREGATORS  # here: gcn imports dataset, which imports this module
+        if self.aggregator not in AGGREGATORS:
+            raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
+                             f"got {self.aggregator!r}")
+        self.hidden_dims = tuple(self.hidden_dims)
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError(f"hidden_dims must be one or more widths >= 1, "
+                             f"got {self.hidden_dims!r}")
+        for name in ("attention_hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(TrainSettings):
     # data
     normalize: bool = True
     # pivot-subgraph regimes (train favors many 1-hop nodes for supervision,
@@ -36,63 +69,36 @@ class PipelineConfig:
     test_k2: int = 5
     test_u: int = 5
     hops: int = 2
-    # model
-    aggregator: str = "mean"
-    hidden_dims: tuple = (256, 256, 128, 64)
-    attention_hidden: int = 64
+    # model, beyond TrainSettings
     mean_row_normalize: bool = False
-    # optimizer
-    epochs: int = 40
-    batch_size: int = 16
-    lr: float = 0.01
-    momentum: float = 0.9
-    lr_decay: float = 0.1
     # merging
-    merge: str = "propagate"  # one of MERGE_STRATEGIES
+    merge: str = "propagate"  # one of merge.STRATEGIES
     tau: float = 0.5          # bfs threshold
     tau0: float = 0.5
     dtau: float = 0.05
     max_size: int = 600
     # misc
-    seed: int = 0
     workers: int = 0          # kNN and pivot-scoring threads; 0 derives them from the cores
 
     def __post_init__(self):
-        if self.merge not in MERGE_STRATEGIES:
-            raise ValueError(f"merge must be one of {', '.join(MERGE_STRATEGIES)}, "
-                             f"got {self.merge!r}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if not 0.0 <= self.tau0 < 1.0:
-            raise ValueError(f"tau0 must lie in [0, 1), got {self.tau0}")
-        if not 0.0 < self.dtau < np.inf:
-            raise ValueError(f"dtau must be finite and > 0, got {self.dtau}")
-        from linkgcn.gcn import AGGREGATORS  # here: gcn imports dataset, which imports this module
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
-                             f"got {self.aggregator!r}")
-        if not self.hidden_dims or min(self.hidden_dims) < 1:
-            raise ValueError(f"hidden_dims must be one or more widths >= 1, "
-                             f"got {self.hidden_dims!r}")
-        for name in ("max_size", "hops", "train_k1", "train_k2", "train_u",
-                     "test_k1", "test_k2", "test_u", "attention_hidden"):
+        super().__post_init__()
+        from linkgcn.merge import check_merge  # here: see the gcn import above
+        check_merge(self.merge, tau=self.tau, tau0=self.tau0, dtau=self.dtau,
+                    max_size=self.max_size)
+        for name in ("hops", "train_k1", "train_k2", "train_u", "test_k1", "test_k2", "test_u"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        self.train_config()  # runs TrainConfig's optimizer checks now, before any work
 
     def train_config(self):
         """The trainer.TrainConfig of this config's model, train regime and optimizer."""
         from linkgcn.ips import regime_config  # here: see the gcn import above
         from linkgcn.trainer import TrainConfig
         return TrainConfig(
-            aggregator=self.aggregator, hidden_dims=tuple(self.hidden_dims),
-            attention_hidden=self.attention_hidden,
+            **{f.name: getattr(self, f.name) for f in fields(TrainSettings)},
             mean_row_normalized=self.mean_row_normalize,
-            ips=regime_config(self.train_k1, self.train_k2, self.train_u, self.hops),
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            momentum=self.momentum, lr_decay=self.lr_decay, seed=self.seed)
+            ips=regime_config(self.train_k1, self.train_k2, self.train_u, self.hops))
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,

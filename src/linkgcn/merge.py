@@ -144,10 +144,26 @@ def table_components(n: int, indices: np.ndarray, keep) -> np.ndarray:
     return _components(n, kept_edges, n, max(1, _edge_chunk(n) // max(1, indices.shape[1])))
 
 
+STRATEGIES = ("propagate", "bfs")
+
+
+def check_merge(merge="propagate", *, tau=None, tau0=None, dtau=None, max_size=None) -> None:
+    """Raise ValueError naming the first bad merge setting; None skips a setting."""
+    if merge not in STRATEGIES:
+        raise ValueError(f"merge must be one of {', '.join(STRATEGIES)}, got {merge!r}")
+    if tau is not None and not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    if tau0 is not None and not 0.0 <= tau0 < 1.0:
+        raise ValueError(f"tau0 must lie in [0, 1), got {tau0}")
+    if dtau is not None and not 0.0 < dtau < np.inf:
+        raise ValueError(f"dtau must be finite and > 0, got {dtau}")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+
+
 def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:
     """Components of the graph keeping edges with weight >= tau."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau={tau} outside [0, 1]")
+    check_merge("bfs", tau=tau)
     return _edge_components(edges, n, lambda w, i, j: w >= tau)
 
 
@@ -161,13 +177,7 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
     terminates within ceil((1 - tau0) / dtau) + 2 rounds. A round keeps
     O(N) arrays and reads the edges in chunks, copying none whole.
     """
-    if not (0.0 <= tau0 < 1.0):
-        raise ValueError(f"tau0={tau0} outside [0, 1)")
-    if not 0.0 < dtau < np.inf:
-        raise ValueError(f"dtau={dtau} must be finite and positive")
-    if max_size < 1:
-        raise ValueError(f"max_size={max_size} must be >= 1")
-
+    check_merge(tau0=tau0, dtau=dtau, max_size=max_size)
     assignment = np.full(n, -1, dtype=np.int64)
     queued = np.ones(n, dtype=bool)
     t = 0

@@ -122,6 +122,8 @@ def knn_upper_bound(fs: FeatureSet, nbrs: NeighborTable, k_list) -> list:
     out = []
     labels = fs.labels
     for k in k_list:
+        if k < 1:
+            raise ValueError(f"k={k} must be >= 1")
         if k > nbrs.k:
             raise ValueError(f"k={k} exceeds neighbor table k={nbrs.k}")
         indices = nbrs.indices[:, :k]

@@ -12,7 +12,7 @@ from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
 from linkgcn.knn import NeighborTable, build_knn, run_threads, thread_count
-from linkgcn.merge import WeightedEdgeSet, bfs_cluster, pool_edges, propagate_cluster
+from linkgcn.merge import WeightedEdgeSet, bfs_cluster, check_merge, pool_edges, propagate_cluster
 
 
 @dataclass
@@ -64,7 +64,9 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     from the cores the BLAS pool leaves idle (knn.thread_count).
 
     A one-instance collection has no neighbor to link: it builds no kNN
-    table, scores no pivot, and merges an empty edge set into one cluster."""
+    table, scores no pivot, and merges an empty edge set into one cluster.
+    Every merge setting is checked before any work."""
+    check_merge(merge, tau=tau, tau0=tau0, dtau=dtau, max_size=max_size)
     workers = thread_count(workers)
     _check_width(fs, model)
     t0 = time.perf_counter()
@@ -81,10 +83,8 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     if merge == "propagate":
         assignment = propagate_cluster(edges, fs.n, tau0=tau0, dtau=dtau,
                                        max_size=max_size)
-    elif merge == "bfs":
-        assignment = bfs_cluster(edges, tau, fs.n)
     else:
-        raise ValueError(f"unknown merge strategy {merge!r}")
+        assignment = bfs_cluster(edges, tau, fs.n)
     t3 = time.perf_counter()
     timing = TimingReport(knn_seconds=t1 - t0, link_prediction_seconds=t2 - t1,
                           merge_seconds=t3 - t2)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from linkgcn.config import seed_stream
+from linkgcn.config import PipelineConfig, TrainSettings, seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, init_model, loss_and_grads_edges, _forward_edges
 from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, clamp_config
@@ -19,29 +19,11 @@ DECAY_AT = (0.5, 0.75)
 
 
 @dataclass
-class TrainConfig:
-    aggregator: str = "mean"
-    hidden_dims: tuple = (256, 256, 128, 64)
-    attention_hidden: int = 64
+class TrainConfig(TrainSettings):
+    """TrainSettings with the model's mean-row normalization and the train
+    regime, PipelineConfig's by default."""
     mean_row_normalized: bool = False
-    ips: IpsConfig = field(default_factory=lambda: IpsConfig(h=2, k_per_hop=(200, 10), u=10))
-    epochs: int = 40
-    batch_size: int = 16
-    lr: float = 0.01
-    momentum: float = 0.9
-    lr_decay: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+    ips: IpsConfig = field(default_factory=lambda: PipelineConfig().train_config().ips)
 
 
 def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarray:

@@ -99,7 +99,8 @@ def test_train_rejects_workers(synth_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("config_text", ["aggregator=foo\n", "hidden_dims=\n", "lr=nan\n",
                                          "lr=inf\n", "lr=-1\n", "momentum=1\n",
-                                         "lr_decay=0\n"])
+                                         "lr_decay=0\n", "hidden_dims=8,0\n",
+                                         "attention_hidden=0\n"])
 def test_train_bad_model_config_fails_before_knn(synth_dir, tmp_path, capsys, monkeypatch,
                                                  config_text):
     def no_work(*args, **kwargs):
@@ -257,7 +258,7 @@ def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("config_text, flags", [
     ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5")), ("", ("--workers", "-1")),
-    ("", ("--dtau", "inf"))])
+    ("", ("--dtau", "inf")), ("", ("--max-size", "0")), ("", ("--tau0", "1"))])
 def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_path,
                                                     capsys, monkeypatch, config_text,
                                                     flags):
@@ -551,6 +552,26 @@ def test_out_of_memory_is_one_error_line(synth_dir, trained_dir, tmp_path, capsy
     code, stdout, err = run(capsys, *argv)
     assert code == 1
     assert err == f"error: out of memory in {stage}: Unable to allocate 8.00 EiB for an array\n"
+    assert not out.exists()
+
+
+class NoThreadStarts(knn.ThreadPoolExecutor):
+    """A thread pool whose threads cannot start, as under a low address-space limit."""
+
+    def submit(self, *args, **kwargs):
+        raise RuntimeError("can't start new thread")
+
+
+def test_thread_start_failure_is_one_error_line(synth_dir, trained_dir, tmp_path, capsys,
+                                                monkeypatch):
+    # 300 instances make two kNN blocks of at most 256 rows, one per thread
+    big = tmp_path / "big"
+    assert run(capsys, *synth_args(big, ids=10, per_id="30:30"))[0] == 0
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", NoThreadStarts)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *cluster_args(big, trained_dir, out, ("--workers", "2")))
+    assert code == 1
+    assert err == "error: runtime error in linkgcn.knn.run_threads: can't start new thread\n"
     assert not out.exists()
 
 

@@ -208,3 +208,10 @@ def test_upper_bound_monotone_in_k(synth_1k_set, synth_1k_nbrs):
 def test_upper_bound_k_exceeds_table(synth_1k_set, synth_1k_nbrs):
     with pytest.raises(ValueError, match="exceeds"):
         knn_upper_bound(synth_1k_set, synth_1k_nbrs, [synth_1k_nbrs.k + 1])
+
+
+@pytest.mark.parametrize("k", [0, -1, -7])
+def test_upper_bound_rejects_k_below_one(synth_1k_set, synth_1k_nbrs, k):
+    # a negative k would slice from the table's end: k = -1 scored k = width - 1
+    with pytest.raises(ValueError, match=f"k={k} must be >= 1"):
+        knn_upper_bound(synth_1k_set, synth_1k_nbrs, [1, k])

@@ -270,6 +270,21 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
         pipeline.cluster(FeatureSet(features=np.ones((1, 3), np.float32)), model, IPS)
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("merge", "bfss"), ("tau", 1.5), ("tau", float("nan")), ("tau0", 1.0), ("dtau", 0.0),
+    ("dtau", float("inf")), ("max_size", 0)])
+def test_cluster_bad_merge_settings_fail_before_knn(monkeypatch, setting, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad merge setting reached the kNN stage")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    monkeypatch.setattr(pipeline, "thread_count", no_work)
+    model = init_model([4, 8], "mean", seed_stream(0, "init"))
+    fs = FeatureSet(features=np.ones((60, 4), np.float32))
+    with pytest.raises(ValueError, match=f"^{setting} "):
+        pipeline.cluster(fs, model, IPS, **{setting: value})
+
+
 def test_cluster_clamp_is_one_warning():
     # N = 60 clamps the test regime's k1 = 80 for the kNN table and the
     # scoring alike; the one clamped config serves both

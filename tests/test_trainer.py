@@ -305,6 +305,15 @@ def test_train_config_rejects_nonpositive(field):
         TrainConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hidden_dims", (8, 0)), ("hidden_dims", ()), ("aggregator", "foo"), ("attention_hidden", 0)])
+def test_train_config_rejects_bad_model_settings(field, value):
+    # checked when the config is made, with PipelineConfig's messages, so a
+    # zero-width layer never trains and an unknown aggregator never reaches kNN
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(**{field: value})
+
+
 def test_train_stops_at_non_finite_loss(easy_two_identity_set, monkeypatch):
     # a NaN batch loss stands in for a diverged run, without the overflow
     # warnings a huge learning rate would raise first
