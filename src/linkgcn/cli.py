@@ -141,8 +141,13 @@ def cmd_upper_bound(args):
     ks = _parse_k_list(args.k_list)
     _, fs = _setup(args, need_labels=True)
     k_list, nbrs = _clamped_knn(fs, ks)
+    if fs.n == 1:  # no neighbor to link: one cluster at every k, as baseline and cluster give
+        one = metrics.evaluate(fs.labels, np.zeros(1, np.int64), distractors="unique")
+        reports = [(k, one) for k in k_list]
+    else:
+        reports = metrics.knn_upper_bound(fs, nbrs, k_list)
     print("k\tF\tNMI")
-    for k, report in metrics.knn_upper_bound(fs, nbrs, k_list):
+    for k, report in reports:
         print(f"{k}\t{report.bcubed_f:.4f}\t{report.nmi:.4f}")
 
 

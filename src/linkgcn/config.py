@@ -37,7 +37,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        from linkgcn.gcn import AGGREGATORS  # here: gcn imports dataset, which imports this module
+        from linkgcn.gcn import AGGREGATORS  # here: gcn imports this module
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
                              f"got {self.aggregator!r}")

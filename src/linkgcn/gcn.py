@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from linkgcn.config import TrainSettings
 from linkgcn.dataset import FormatError
 from linkgcn.ips import InstancePivotSubgraph
 
@@ -71,7 +72,7 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
 
 
 def init_model(dims, aggregator: str, rng: np.random.Generator,
-               attention_hidden: int = 64, dtype=np.float32,
+               attention_hidden: int = TrainSettings.attention_hidden, dtype=np.float32,
                mean_row_normalized: bool = False) -> GcnModel:
     """Fresh model for input width dims[0] and layer widths dims[1:]."""
     if len(dims) < 2:

@@ -84,14 +84,12 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     """Exact top-k neighbors of every instance; O(N^2 D) brute force.
 
     Ordering is by cosine similarity whether or not the rows were
-    pre-normalized, with ties broken by ascending instance id. Row blocks
-    are spread over thread_count(workers) threads, each computing a block's
-    similarities and its top-k, in one block of at most 256 rows and
-    ~16 MiB of scratch per thread. Worker-count invariant. Past N = 8,192
-    the 16 MiB cap sets the rows, so at large N blocks hold few rows (69 at
-    N = 30,000) and the matmul repacks unit.T once per block: there one
-    thread runs slower than with one larger block, and two or more run
-    faster.
+    pre-normalized, with ties broken by ascending instance id. Rows are
+    divided by their own norms and kept only as one C-contiguous (D, N)
+    float64 array, from which topk_cosine's matmuls read. Row blocks are
+    spread over thread_count(workers) threads, each computing a block's
+    similarities and its top-k in one block of block_rows(N) rows: 128 up to
+    N = 16,384, ~16 MiB beyond. Worker-count invariant.
     """
     threads = thread_count(workers)
     if k < 1:
@@ -102,31 +100,40 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm row; cosine ordering undefined")
-    unit /= norms[:, None]
-    idx, sim = topk_cosine(unit, k, workers=threads)
+    unit_t = np.divide(unit.T, norms, out=np.empty(unit.shape[::-1]))
+    del unit
+    idx, sim = topk_cosine(unit_t.T, k, workers=threads)
     return NeighborTable(indices=idx, similarities=sim)
 
 
-def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k neighbor ids (int64) and similarities (float32) per row,
-    self excluded, ordered by (similarity desc, id asc) of the float64
-    similarities. Rows are assumed unit-normalized.
+def block_rows(n: int) -> int:
+    """Rows in one of topk_cosine's similarity blocks over n instances: n up
+    to N = 128, 128 up to N = 16,384, and 2,097,152 / n (~16 MiB) beyond.
+    Depends only on n, so results do not depend on the thread count."""
+    return max(1, min(n, 128, (16 << 20) // (8 * n)))
 
-    run_threads hands whole row blocks to `workers` threads. Each thread
-    computes a block's similarities with one float64 matmul into its own
-    buffer, allocated once and reused, then selects the block's rows in
+
+def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k neighbor ids (int64) and similarities (float32) per row
+    of the (N, D) `unit`, self excluded, ordered by (similarity desc, id
+    asc) of the float64 similarities. Rows are assumed unit-normalized.
+
+    The rows are read as one C-contiguous (D, N) float64 array, the
+    transpose of `unit`: no copy when `unit` is such an array's .T view, as
+    build_knn passes. run_threads hands whole row blocks of block_rows(N)
+    rows to `workers` threads. Each thread computes a block's similarities
+    with one float64 matmul of the block's columns, transposed, against the
+    whole array, which BLAS packs from contiguous memory, into its own
+    buffer, allocated once and reused. It then selects the block's rows in
     chunks of ~1 MiB of partition indices (_select_rows) while the block is
-    still in cache. A block holds N rows up to N = 256, 256 rows up to
-    N = 8,192, and ~16 MiB of rows beyond: more rows than 256 cost memory
-    and bring no speed. The block rows depend only on N, so the result does
-    not depend on the thread count. Scratch memory is, per thread, one block
-    plus about 1 MiB.
+    still in cache. Scratch memory is, per thread, one block plus about
+    1 MiB: 1,024 bytes per instance up to N = 16,384, ~17 MiB beyond.
     """
-    unit = np.ascontiguousarray(unit, dtype=np.float64)
-    n = unit.shape[0]
+    unit_t = np.ascontiguousarray(unit.T, dtype=np.float64)
+    n = unit_t.shape[1]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float32)
-    block = max(1, min(n, 256, (16 << 20) // (8 * n)))  # <= 256 rows, ~16 MiB
+    block = block_rows(n)
     chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices
     scratch = threading.local()
 
@@ -135,7 +142,7 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
         if buf is None:
             buf = scratch.buf = np.empty((block, n), dtype=np.float64)
         stop = min(start + block, n)
-        sims = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
+        sims = np.matmul(unit_t[:, start:stop].T, unit_t, out=buf[:stop - start])
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # self excluded
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)

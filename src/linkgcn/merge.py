@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from linkgcn.config import PipelineConfig
 from linkgcn.dataset import FeatureSet, FormatError
 from linkgcn.knn import NeighborTable
 
@@ -167,8 +168,9 @@ def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:
     return _edge_components(edges, n, lambda w, i, j: w >= tau)
 
 
-def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = 0.5,
-                      dtau: float = 0.05, max_size: int = 600) -> np.ndarray:
+def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = PipelineConfig.tau0,
+                      dtau: float = PipelineConfig.dtau,
+                      max_size: int = PipelineConfig.max_size) -> np.ndarray:
     """Iterative pseudo-label propagation.
 
     Each round cuts edges below a threshold that rises by dtau; components

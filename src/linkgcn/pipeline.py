@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from linkgcn.config import PipelineConfig
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
@@ -57,8 +58,9 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
 
 
 def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
-            merge: str = "propagate", tau: float = 0.5, tau0: float = 0.5,
-            dtau: float = 0.05, max_size: int = 600, workers: int = 0):
+            merge: str = PipelineConfig.merge, tau: float = PipelineConfig.tau,
+            tau0: float = PipelineConfig.tau0, dtau: float = PipelineConfig.dtau,
+            max_size: int = PipelineConfig.max_size, workers: int = PipelineConfig.workers):
     """Full pipeline. Returns (assignment, edges, TimingReport). `workers`
     threads select the kNN top-k and score the pivots; 0 derives the count
     from the cores the BLAS pool leaves idle (knn.thread_count).

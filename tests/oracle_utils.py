@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from linkgcn import gcn
+from linkgcn import gcn, knn
 from linkgcn.config import seed_stream
 
 
@@ -205,17 +205,17 @@ def union_find_components(n, src, dst):
 
 def topk_cosine_oracle(unit, k):
     """Reference exact top-k: a full lexsort over all N columns of each row,
-    with the same float64 row blocks as `knn.topk_cosine`, so the matmul
-    rounds the same way."""
-    unit = np.ascontiguousarray(unit, dtype=np.float64)
-    n = unit.shape[0]
+    with the same float64 row blocks and the same transposed (D, N) operand
+    layout as `knn.topk_cosine`, so the matmul rounds the same way."""
+    unit_t = np.ascontiguousarray(unit.T, dtype=np.float64)
+    n = unit_t.shape[1]
     out_idx = np.empty((n, k), dtype=np.int64)
     out_sim = np.empty((n, k), dtype=np.float64)
-    block = max(1, min(n, 256, (16 << 20) // (8 * n)))
+    block = knn.block_rows(n)
     ids = np.arange(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sims = unit[start:stop] @ unit.T
+        sims = unit_t[:, start:stop].T @ unit_t
         for r in range(start, stop):
             sims[r - start, r] = -np.inf
         for r in range(stop - start):

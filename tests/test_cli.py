@@ -416,6 +416,24 @@ def test_upper_bound_clamps_k_list(synth_dir, capsys):
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "39"]
 
 
+def test_upper_bound_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a one-instance collection reached the kNN search")
+
+    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    one = tmp_path / "one"
+    fs = dataset.load_features(synth_dir / "features.fmat")
+    dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one.with_suffix(".fmat"))
+    labels = dataset.load_labels(synth_dir / "labels.lbls")
+    dataset.save_labels(labels[:1], one.with_suffix(".lbls"))
+    code, stdout, err = run(capsys, "upper-bound", "--features", str(one.with_suffix(".fmat")),
+                            "--labels", str(one.with_suffix(".lbls")), "--k-list", "1,4")
+    assert code == 0, err
+    assert err == "warning: kNN width clamped to N-1=0: k [1, 4] -> [0, 0]\n"
+    # the one-cluster partition of one instance scores F = NMI = 1 at every k
+    assert stdout.splitlines() == ["k\tF\tNMI", "0\t1.0000\t1.0000", "0\t1.0000\t1.0000"]
+
+
 @pytest.mark.parametrize("k_list", ["-2,3", "3,,4", "0", "2,x"])
 def test_upper_bound_bad_k_list_fails_before_reading(synth_dir, capsys, monkeypatch, k_list):
     def no_read(*args, **kwargs):
@@ -564,7 +582,7 @@ class NoThreadStarts(knn.ThreadPoolExecutor):
 
 def test_thread_start_failure_is_one_error_line(synth_dir, trained_dir, tmp_path, capsys,
                                                 monkeypatch):
-    # 300 instances make two kNN blocks of at most 256 rows, one per thread
+    # 300 instances make three kNN blocks of at most 128 rows, over two threads
     big = tmp_path / "big"
     assert run(capsys, *synth_args(big, ids=10, per_id="30:30"))[0] == 0
     monkeypatch.setattr(knn, "ThreadPoolExecutor", NoThreadStarts)

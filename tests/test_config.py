@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import pytest
 
+from linkgcn import gcn, merge, pipeline
 from linkgcn.config import PipelineConfig, load_config_file, make_config
 from linkgcn.ips import IpsConfig
 from linkgcn.trainer import TrainConfig
@@ -75,3 +77,16 @@ def test_train_config_carries_the_training_fields():
         mean_row_normalized=True, ips=IpsConfig(h=3, k_per_hop=(30, 4, 4), u=6),
         epochs=2, batch_size=3, lr=0.5, momentum=0.5, lr_decay=0.25, seed=9)
     assert PipelineConfig().train_config() == TrainConfig()
+
+
+@pytest.mark.parametrize("fn, names", [
+    (pipeline.cluster, {"merge", "tau", "tau0", "dtau", "max_size", "workers"}),
+    (merge.propagate_cluster, {"tau0", "dtau", "max_size"}),
+    (gcn.init_model, {"attention_hidden"})])
+def test_signature_defaults_are_the_config_defaults(fn, names):
+    # every defaulted parameter that names a config field, at least `names`
+    cfg = PipelineConfig()
+    defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty and hasattr(cfg, name)}
+    assert names <= defaults.keys()
+    assert defaults == {name: getattr(cfg, name) for name in defaults}

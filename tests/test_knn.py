@@ -168,12 +168,14 @@ def unit_rows(rng, n, d, decimals=None, duplicates=0):
     (300, 4, 1, 40, 1),
     (300, 4, 1, 40, 299),    # k = N-1: every other row
     (120, 2, 1, 60, 50),     # 2-D, half duplicates: ties everywhere
-    (2897, 8, 1, 200, 80),   # twelve row blocks, the last of 81 rows
+    (2897, 8, 1, 200, 80),   # twenty-three row blocks, the last of 81 rows
     (2897, 16, None, 0, 80),
-    (2300, 8, 1, 150, 80),   # nine row blocks, the last of 252 rows: threads take unequal shares
-    (4500, 8, 1, 300, 80),   # eighteen row blocks, the last of 148: each thread's buffer is reused
+    (2300, 8, 1, 150, 80),   # eighteen row blocks, the last of 124 rows: threads take unequal shares
+    (4500, 8, 1, 300, 80),   # thirty-six row blocks, the last of 20: each thread's buffer is reused
     (1200, 4, 1, 100, 1199),  # k = N-1 over several chunks
     (40, 3, 1, 10, 5),       # N far below one chunk: a single chunk
+    (1000, 64, None, 0, 80),   # perfbench's width: seven blocks of 128 rows and one of 104
+    (1000, 64, None, 150, 80),  # the same with exact duplicate rows: similarity-1.0 ties
 ])
 def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     unit = unit_rows(np.random.default_rng(n + k), n, d, decimals, duplicates)
@@ -223,13 +225,13 @@ def test_build_knn_matches_lexsort_oracle_on_ties():
 
 
 def test_topk_cosine_scratch_is_one_block():
-    # twenty-four row blocks of up to 256 rows (11.7 MiB): a block-wide
+    # forty-seven row blocks of up to 128 rows (5.9 MiB): a block-wide
     # partition or comparison, or a new similarity block per row block, would
     # hold a second block per thread. The slack covers each thread's ~1 MiB of
-    # chunk scratch.
+    # chunk scratch and the transposed copy of the rows (0.7 MiB).
     n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
-    block_bytes = min(n, 256, (16 << 20) // (8 * n)) * n * 8
+    block_bytes = knn.block_rows(n) * n * 8
     out_bytes = n * k * (8 + 4)  # int64 ids, float32 similarities
     for workers in (1, 2):
         tracemalloc.start()

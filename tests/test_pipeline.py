@@ -212,7 +212,7 @@ def capped_cluster(cores):
 
 def test_cluster_memory_per_extra_thread():
     # Both threaded stages of cluster: a kNN thread holds one similarity block
-    # of at most 256 rows, a scoring thread one block of subgraphs and one
+    # of knn.block_rows(N) rows, a scoring thread one block of subgraphs and one
     # forward pass. Going from 1 to 4 threads may add three of each, plus
     # what the runtime keeps per thread (stack, allocator arena): 1 MiB each.
     results, peaks = {}, {}
@@ -221,7 +221,7 @@ def test_cluster_memory_per_extra_thread():
             2**31, capped_cluster, cores)
     assert results[1] == results[4]
     n = results[1][1]
-    knn_block = min(n, 256) * n * 8
+    knn_block = knn.block_rows(n) * n * 8
     per_thread = knn_block + pivot_block_bytes() + forward_bytes() + 2**20
     assert peaks[4] - peaks[1] < 3 * per_thread, peaks
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import conftest
-from linkgcn import gcn, trainer
+from linkgcn import gcn, knn, trainer
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
 from linkgcn.ips import IpsConfig, build_block, clamp_config
@@ -155,11 +155,13 @@ def test_one_epoch_fits_in_one_gib():
         curve, peaks[n] = conftest.run_with_address_limit(2**30, one_capped_epoch, n // 10)
         assert len(curve) == 1 and np.isfinite(curve[0])
     # Training keeps nothing per pivot beyond its batch, so from N = 1,000 to
-    # 2,000 the peak may grow only by what the kNN stage needs: its float64
-    # similarity block (N x N up to N = 1,448, ~16 MiB beyond) and the (N, 200)
+    # 2,000 the peak may grow only by what the kNN stage needs: a float64
+    # similarity block of knn.block_rows(N) rows (1 MiB more at N = 2,000;
+    # the slack covers one more per extra kNN thread) and the (N, 200)
     # neighbor table, built as int64 ids and float64 similarities, then copied
-    # to float32. Caching every pivot's edges would add about 60 KiB a pivot.
-    knn_block = 8 * (2000**2 - 1000**2)
+    # to float32. The growth measured 3.8-5.2 MiB on 2 cores. Caching every
+    # pivot's edges would add about 60 KiB a pivot.
+    knn_block = 8 * (knn.block_rows(2000) * 2000 - knn.block_rows(1000) * 1000)
     table = (8 + 8 + 4) * 200 * (2000 - 1000)
     slack = 16 * 2**20
     assert peaks[2000] - peaks[1000] <= knn_block + table + slack, peaks
