@@ -232,10 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads selecting the kNN top-k and scoring pivots "
                         "(default 0: usable cores // BLAS threads)")
     p.add_argument("--merge", choices=merge.STRATEGIES)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--tau0", type=float)
-    p.add_argument("--dtau", type=float)
-    p.add_argument("--max-size", dest="max_size", type=int)
+    p.add_argument("--tau", type=float,
+                   help="bfs merge: keep links with likelihood >= tau, in [0, 1] "
+                        f"(default {PipelineConfig.tau})")
+    p.add_argument("--tau0", type=float,
+                   help="propagate merge: first round's threshold, in [0, 1) "
+                        f"(default {PipelineConfig.tau0})")
+    p.add_argument("--dtau", type=float,
+                   help="propagate merge: threshold step per round, > 0 "
+                        f"(default {PipelineConfig.dtau}); ceil((1 - tau0) / dtau) + 2 "
+                        f"rounds must not pass {merge.MAX_ROUNDS}")
+    p.add_argument("--max-size", dest="max_size", type=int,
+                   help="propagate merge: largest cluster a round finalizes, >= 1 "
+                        f"(default {PipelineConfig.max_size})")
     p.add_argument("--test-k1", dest="test_k1", type=int)
     p.add_argument("--test-k2", dest="test_k2", type=int)
     p.add_argument("--test-u", dest="test_u", type=int)

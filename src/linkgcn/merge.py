@@ -125,13 +125,11 @@ def _components(n: int, kept_edges, count: int, chunk: int) -> np.ndarray:
     return np.unique(parent, return_inverse=True)[1]
 
 
-def _edge_components(edges: WeightedEdgeSet, n: int, keep) -> np.ndarray:
-    """Components of the edges for which keep(w, i, j) holds, applied to each
-    chunk of the edge set's arrays."""
+def _edge_components(edges: WeightedEdgeSet, n: int, tau: float) -> np.ndarray:
+    """Components of the edges with weight >= tau, read in chunks."""
     def kept_edges(lo, hi):
-        i, j = edges.i[lo:hi], edges.j[lo:hi]
-        mask = keep(edges.w[lo:hi], i, j)
-        return i[mask], j[mask]
+        kept = edges.w[lo:hi] >= tau
+        return edges.i[lo:hi][kept], edges.j[lo:hi][kept]
     return _components(n, kept_edges, len(edges), _edge_chunk(n))
 
 
@@ -147,6 +145,8 @@ def table_components(n: int, indices: np.ndarray, keep) -> np.ndarray:
 
 STRATEGIES = ("propagate", "bfs")
 
+MAX_ROUNDS = 10_000  # most rounds a propagation schedule may need; each takes ms
+
 
 def check_merge(merge="propagate", *, tau=None, tau0=None, dtau=None, max_size=None) -> None:
     """Raise ValueError naming the first bad merge setting; None skips a setting."""
@@ -158,6 +158,10 @@ def check_merge(merge="propagate", *, tau=None, tau0=None, dtau=None, max_size=N
         raise ValueError(f"tau0 must lie in [0, 1), got {tau0}")
     if dtau is not None and not 0.0 < dtau < np.inf:
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
+    if tau0 is not None and dtau is not None and (1.0 - tau0) / dtau > MAX_ROUNDS - 2:
+        rounds = np.ceil((1.0 - tau0) / dtau) + 2
+        raise ValueError(f"dtau {dtau} from tau0 {tau0} needs up to {rounds:.0f} "
+                         f"propagation rounds, more than {MAX_ROUNDS}")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
 
@@ -165,7 +169,7 @@ def check_merge(merge="propagate", *, tau=None, tau0=None, dtau=None, max_size=N
 def bfs_cluster(edges: WeightedEdgeSet, tau: float, n: int) -> np.ndarray:
     """Components of the graph keeping edges with weight >= tau."""
     check_merge("bfs", tau=tau)
-    return _edge_components(edges, n, lambda w, i, j: w >= tau)
+    return _edge_components(edges, n, tau)
 
 
 def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = PipelineConfig.tau0,
@@ -173,26 +177,26 @@ def propagate_cluster(edges: WeightedEdgeSet, n: int, tau0: float = PipelineConf
                       max_size: int = PipelineConfig.max_size) -> np.ndarray:
     """Iterative pseudo-label propagation.
 
-    Each round cuts edges below a threshold that rises by dtau; components
-    no larger than max_size are finalized, larger ones are re-queued. Once
-    the threshold passes 1 every component is a singleton, so the loop
-    terminates within ceil((1 - tau0) / dtau) + 2 rounds. A round keeps
+    Round t cuts the whole graph at tau0 + t * dtau, as bfs_cluster does;
+    queued components no larger than max_size are finalized, larger ones
+    stay queued. Past tau = 1 every component is a singleton, so at most
+    ceil((1 - tau0) / dtau) + 2 <= MAX_ROUNDS rounds run. A round keeps
     O(N) arrays and reads the edges in chunks, copying none whole.
     """
     check_merge(tau0=tau0, dtau=dtau, max_size=max_size)
     assignment = np.full(n, -1, dtype=np.int64)
-    queued = np.ones(n, dtype=bool)
     t = 0
-    while queued.any():
-        tau = tau0 + t * dtau
-        comp = _edge_components(edges, n,
-                                lambda w, i, j: (w >= tau) & queued[i] & queued[j])
-        sizes = np.bincount(comp[queued], minlength=n)
-        done = queued & ((sizes[comp] <= max_size) | (tau > 1.0))
+    # Thresholds never fall, so each cut refines the last, and components are
+    # finalized or re-queued whole: the queue is a union of whole components
+    # of every later cut, and cutting the whole graph gives queued nodes the
+    # components and sizes that cutting only their edges would. Weights lie
+    # in [0, 1], so past tau = 1 every node is a singleton, which max_size >= 1 accepts.
+    while (queued := assignment < 0).any():
+        comp = _edge_components(edges, n, tau0 + t * dtau)
+        done = queued & (np.bincount(comp)[comp] <= max_size)
         # component ids are < n, so an offset of n per round keeps labels
         # distinct across rounds; canonical_labels renumbers them at the end
         assignment[done] = t * n + comp[done]
-        queued &= ~done
         t += 1
     return canonical_labels(assignment)
 

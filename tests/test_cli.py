@@ -258,7 +258,8 @@ def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("config_text, flags", [
     ("merge=bfss\n", ()), ("", ("--merge", "bfs", "--tau", "1.5")), ("", ("--workers", "-1")),
-    ("", ("--dtau", "inf")), ("", ("--max-size", "0")), ("", ("--tau0", "1"))])
+    ("", ("--dtau", "inf")), ("", ("--max-size", "0")), ("", ("--tau0", "1")),
+    ("", ("--dtau", "1e-9"))])
 def test_cluster_bad_merge_settings_fail_before_knn(synth_dir, trained_dir, tmp_path,
                                                     capsys, monkeypatch, config_text,
                                                     flags):
@@ -597,6 +598,13 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+    for name in ("tau", "tau0", "dtau", "max_size"):
+        assert f"(default {getattr(PipelineConfig, name)})" in text
+    assert f"must not pass {merge.MAX_ROUNDS}" in text
 
 
 def test_unknown_command_exits_nonzero(capsys):

@@ -42,7 +42,7 @@ def test_config_precedence(tmp_path):
     ("test_k1", 0), ("test_k2", 0), ("test_u", -1), ("aggregator", "foo"),
     ("hidden_dims", ()), ("hidden_dims", (64, 0)), ("attention_hidden", 0), ("workers", -1),
     ("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", float("inf")), ("momentum", 1.0),
-    ("lr_decay", 0.0), ("dtau", math.inf)])
+    ("lr_decay", 0.0), ("dtau", math.inf), ("dtau", 1e-9)])
 def test_config_rejects_bad_value(field, value):
     with pytest.raises(ValueError, match=f"^{field} ") as exc:
         PipelineConfig(**{field: value})

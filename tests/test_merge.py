@@ -347,23 +347,47 @@ def test_propagate_invalid_schedule():
             propagate_cluster(edges, n=2, dtau=dtau)
     with pytest.raises(ValueError):
         propagate_cluster(edges, n=2, max_size=0)
+    with pytest.raises(ValueError, match="^dtau .* rounds"):  # ~5e8 rounds
+        propagate_cluster(edges, n=2, dtau=1e-9)
 
 
-def test_propagate_total_assignment_random_graphs():
+@pytest.mark.parametrize("tau0, dtau", [(0.3, 0.1), (0.0, 0.07), (0.95, 0.5)])
+def test_propagate_total_assignment_random_graphs(monkeypatch, tau0, dtau):
+    # The oracle cuts only the queued nodes' edges each round, where
+    # propagate_cluster cuts the whole graph once per round. Some weights
+    # sit exactly on a round's threshold, at 0 or at 1: with max_size 1,
+    # a weight-1 edge keeps its nodes queued until tau passes 1.
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _components(*args)
+
+    monkeypatch.setattr(merge, "_components", counting)
+    last = next(t for t in range(100) if tau0 + t * dtau > 1.0)  # first round past 1
+    cuts = [0.0, 1.0] + [tau0 + t * dtau for t in range(last)]
     rng = np.random.default_rng(9)
     rounds = []
     for _ in range(20):
         n = int(rng.integers(10, 200))
         edges = random_edges(rng, n, 3 * n)
-        max_size = int(rng.integers(1, 30))
-        out = propagate_cluster(edges, n, tau0=0.3, dtau=0.1, max_size=max_size)
-        assert out.shape == (n,)
-        assert out.min() >= 0
-        assert len(np.unique(out)) == out.max() + 1
-        expect, t = propagate_oracle(edges, n, tau0=0.3, dtau=0.1, max_size=max_size)
-        np.testing.assert_array_equal(out, expect)
-        rounds.append(t)
-    assert min(rounds) == 1 and max(rounds) > 3  # single- and multi-round cases
+        w = edges.w.copy()
+        on_cut = rng.random(w.size) < 0.3
+        w[on_cut] = rng.choice(cuts, on_cut.sum())
+        edges = WeightedEdgeSet(i=edges.i, j=edges.j, w=w)
+        for max_size in (int(rng.integers(1, 30)), 1, n):
+            calls[0] = 0
+            out = propagate_cluster(edges, n, tau0=tau0, dtau=dtau, max_size=max_size)
+            assert out.shape == (n,)
+            assert out.min() >= 0
+            assert len(np.unique(out)) == out.max() + 1
+            expect, t = propagate_oracle(edges, n, tau0=tau0, dtau=dtau, max_size=max_size)
+            np.testing.assert_array_equal(out, expect)
+            assert calls[0] == t
+            rounds.append(t)
+            if max_size == n:  # nothing is re-queued: one cut at tau0
+                np.testing.assert_array_equal(out, bfs_cluster(edges, tau0, n))
+    assert min(rounds) == 1 and max(rounds) == last + 1
 
 
 # -------------------------------------------------------- filter_singletons

@@ -272,7 +272,7 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
 
 @pytest.mark.parametrize("setting, value", [
     ("merge", "bfss"), ("tau", 1.5), ("tau", float("nan")), ("tau0", 1.0), ("dtau", 0.0),
-    ("dtau", float("inf")), ("max_size", 0)])
+    ("dtau", float("inf")), ("dtau", 1e-9), ("max_size", 0)])
 def test_cluster_bad_merge_settings_fail_before_knn(monkeypatch, setting, value):
     def no_work(*args, **kwargs):
         raise AssertionError("a bad merge setting reached the kNN stage")
