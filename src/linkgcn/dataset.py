@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -86,15 +87,44 @@ class SynthSpec:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
-def _read_payload(fh, path, nbytes: int) -> bytes:
-    """The rest of the file, which must be exactly the nbytes the header
-    declares; checked against the file size before anything is read."""
+def read_struct(fh, path, fmt: str, what: str) -> tuple:
+    """One packed value or tuple of the struct format fmt."""
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) < struct.calcsize(fmt):
+        raise FormatError(f"{path}: truncated {what}")
+    return struct.unpack(fmt, raw)
+
+
+def read_header(fh, path, magic: bytes, version: int, fmt: str) -> tuple:
+    """Check the magic, then the uint32 format version, and return the header
+    fields that follow, unpacked with fmt."""
+    got = fh.read(len(magic))
+    if got != magic:
+        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    (got_version,) = read_struct(fh, path, "<I", "header")
+    if got_version != version:
+        raise FormatError(f"{path}: unsupported version {got_version}")
+    return read_struct(fh, path, fmt, "header")
+
+
+def read_array(fh, path, dtype, shape: tuple, what: str) -> np.ndarray:
+    """A C-ordered array read straight into its own buffer, once its size is
+    checked against the bytes left in the file."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     have = os.fstat(fh.fileno()).st_size - fh.tell()
     if have < nbytes:
-        raise FormatError(f"{path}: truncated payload, expected {nbytes} bytes got {have}")
-    if have > nbytes:
-        raise FormatError(f"{path}: {have - nbytes} trailing bytes after the payload")
-    return fh.read(nbytes)
+        raise FormatError(f"{path}: truncated {what}, expected {nbytes} bytes got {have}")
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(memoryview(out).cast("B")) != nbytes:
+        raise FormatError(f"{path}: truncated {what}")
+    return out
+
+
+def check_end(fh, path) -> None:
+    """Reject anything after the last field of the file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left:
+        raise FormatError(f"{path}: {left} trailing bytes after the payload")
 
 
 def save_features(fs: FeatureSet, path) -> None:
@@ -106,21 +136,13 @@ def save_features(fs: FeatureSet, path) -> None:
 
 def load_features(path) -> FeatureSet:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FMAT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FMAT_MAGIC!r}")
-        header = fh.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{path}: truncated header")
-        version, n, d = struct.unpack("<IQI", header)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        n, d = read_header(fh, path, FMAT_MAGIC, FORMAT_VERSION, "<QI")
         if n == 0:
             raise FormatError(f"{path}: header declares N=0")
         if d == 0:
             raise FormatError(f"{path}: header declares D=0")
-        payload = _read_payload(fh, path, n * d * 4)
-    feats = np.frombuffer(payload, dtype="<f4").reshape(n, d)
+        feats = read_array(fh, path, "<f4", (n, d), "payload")
+        check_end(fh, path)
     try:
         return FeatureSet(features=feats, normalized=False)
     except ValueError as exc:
@@ -136,18 +158,15 @@ def save_labels(labels: np.ndarray, path) -> None:
 
 
 def load_labels(path) -> np.ndarray:
+    """Identity labels; -1 marks a distractor, and nothing may lie below it."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != LBLS_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {LBLS_MAGIC!r}")
-        header = fh.read(12)
-        if len(header) < 12:
-            raise FormatError(f"{path}: truncated header")
-        version, n = struct.unpack("<IQ", header)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        payload = _read_payload(fh, path, n * 8)
-    return np.frombuffer(payload, dtype="<i8").copy()
+        (n,) = read_header(fh, path, LBLS_MAGIC, FORMAT_VERSION, "<Q")
+        labels = read_array(fh, path, "<i8", (n,), "payload")
+        check_end(fh, path)
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        raise FormatError(f"{path}: label {labels[below[0]]} at index {below[0]} is below -1")
+    return labels
 
 
 def normalize_rows(fs: FeatureSet) -> FeatureSet:

@@ -12,14 +12,13 @@ into linkage likelihoods; loss and predictions cover 1-hop nodes only.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from linkgcn.config import TrainSettings
-from linkgcn.dataset import FormatError
+from linkgcn.dataset import FormatError, check_end, read_array, read_header, read_struct
 from linkgcn.ips import InstancePivotSubgraph
 
 AGGREGATORS = ("mean", "weighted", "attention")
@@ -60,13 +59,33 @@ class GcnModel:
     def parameters(self) -> list:
         """Trainable arrays in a fixed order (shared with gradients)."""
         out = list(self.layer_weights) + [self.head_weight, self.head_bias]
-        if self.attention_mlp is not None:
-            for w1, w2 in self.attention_mlp:
-                out += [w1, w2]
-        return out
+        return out + [w for pair in self.attention_mlp or () for w in pair]
+
+    @classmethod
+    def from_parameters(cls, aggregator: str, params: list,
+                        mean_row_normalized: bool = False) -> "GcnModel":
+        """The model whose parameters() are params: the inverse of parameters()."""
+        n_layers = (len(params) - 2) // (3 if aggregator == "attention" else 1)
+        attn = params[n_layers + 2:]
+        return cls(aggregator=aggregator, layer_weights=list(params[:n_layers]),
+                   head_weight=params[n_layers], head_bias=params[n_layers + 1],
+                   attention_mlp=list(zip(attn[::2], attn[1::2])) if attn else None,
+                   mean_row_normalized=mean_row_normalized)
 
 
-def _glorot(rng, fan_in, fan_out, shape, dtype):
+def param_shapes(dims, aggregator: str, attention_hidden: int) -> list:
+    """Every parameter's shape, in GcnModel.parameters() order, for input
+    width dims[0] and layer widths dims[1:]."""
+    shapes = [(2 * d_in, d_out) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    shapes += [(dims[-1], 2), (2,)]
+    if aggregator == "attention":
+        for d_in in dims[:-1]:
+            shapes += [(2 * d_in, attention_hidden), (attention_hidden, 1)]
+    return shapes
+
+
+def _glorot(rng, shape, dtype):
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
@@ -74,24 +93,13 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
 def init_model(dims, aggregator: str, rng: np.random.Generator,
                attention_hidden: int = TrainSettings.attention_hidden, dtype=np.float32,
                mean_row_normalized: bool = False) -> GcnModel:
-    """Fresh model for input width dims[0] and layer widths dims[1:]."""
+    """Fresh model for input width dims[0] and layer widths dims[1:]: Glorot
+    weights drawn in parameters() order, and a zero head bias."""
     if len(dims) < 2:
         raise ValueError("dims needs an input width and at least one layer")
-    weights = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(_glorot(rng, 2 * d_in, d_out, (2 * d_in, d_out), dtype))
-    head_w = _glorot(rng, dims[-1], 2, (dims[-1], 2), dtype)
-    head_b = np.zeros(2, dtype=dtype)
-    attn = None
-    if aggregator == "attention":
-        attn = []
-        for d_in in dims[:-1]:
-            w1 = _glorot(rng, 2 * d_in, attention_hidden, (2 * d_in, attention_hidden), dtype)
-            w2 = _glorot(rng, attention_hidden, 1, (attention_hidden, 1), dtype)
-            attn.append((w1, w2))
-    return GcnModel(aggregator=aggregator, layer_weights=weights, head_weight=head_w,
-                    head_bias=head_b, attention_mlp=attn,
-                    mean_row_normalized=mean_row_normalized)
+    params = [_glorot(rng, shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype=dtype)
+              for shape in param_shapes(dims, aggregator, attention_hidden)]
+    return GcnModel.from_parameters(aggregator, params, mean_row_normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +282,7 @@ def _backward(model: GcnModel, caches, last, dlogits) -> list:
                                               *model.attention_mlp[l])
                 dY += dx
 
-    grads = d_layers + [d_head_w, d_head_b]
-    if d_attn is not None:
-        for dw1, dw2 in d_attn:
-            grads += [dw1, dw2]
-    return grads
+    return d_layers + [d_head_w, d_head_b] + [g for pair in d_attn or () for g in pair]
 
 
 def loss_and_grads_edges(model: GcnModel, X0, edges, hop1_labels, denom=None):
@@ -316,76 +320,37 @@ def save_model(model: GcnModel, path) -> None:
 
 
 def load_model(path) -> GcnModel:
-    """Read a GCNM checkpoint, checking its header, tensor count, that layer
-    shapes chain, and that nothing trails the last tensor."""
+    """Read a GCNM checkpoint tensor by tensor, checking its header, the
+    tensor count, every tensor's shape against param_shapes for the widths
+    the layer tensors declare, and that nothing trails the last tensor."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != GCNM_MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    pos = 4
-
-    def take(fmt, what):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(buf):
-            raise FormatError(f"{path}: truncated {what}")
-        pos += size
-        return struct.unpack_from(fmt, buf, pos - size)
-
-    version, agg_tag, row_norm, n_layers = take("<IBBI", "header")
-    if version != GCNM_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if agg_tag >= len(AGGREGATORS):
-        raise FormatError(f"{path}: unknown aggregator tag {agg_tag}")
-    if row_norm > 1:
-        raise FormatError(f"{path}: row-normalization flag {row_norm}, expected 0 or 1")
-    aggregator = AGGREGATORS[agg_tag]
-    (n_tensors,) = take("<I", "header")
-    expected = n_layers + 2 + (2 * n_layers if aggregator == "attention" else 0)
-    if n_layers < 1 or n_tensors != expected:
-        raise FormatError(f"{path}: {n_tensors} tensors for {n_layers} {aggregator} "
-                          f"layers, expected {expected}")
-    tensors = []
-    for _ in range(n_tensors):
-        (rank,) = take("<I", "tensor shape")
-        if rank not in (1, 2):
-            raise FormatError(f"{path}: tensor rank {rank}, expected 1 or 2")
-        shape = take(f"<{rank}Q", "tensor shape")
-        if 0 in shape:
-            raise FormatError(f"{path}: empty tensor shape {shape}")
-        count = math.prod(shape)
-        if pos + 4 * count > len(buf):
-            raise FormatError(f"{path}: truncated tensor payload")
-        tensors.append(np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
-                       .reshape(shape).copy())
-        pos += 4 * count
-    if pos != len(buf):
-        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
-
-    layers = tensors[:n_layers]
-    head_w, head_b = tensors[n_layers], tensors[n_layers + 1]
-    attn = None
-    if aggregator == "attention":
-        rest = tensors[n_layers + 2:]
-        attn = [(rest[2 * i], rest[2 * i + 1]) for i in range(n_layers)]
-    d = layers[0].shape[0] // 2 if layers[0].ndim == 2 else 0
-    for i, w in enumerate(layers):
-        if d < 1 or w.ndim != 2 or w.shape[0] != 2 * d or w.shape[1] < 1:
-            raise FormatError(f"{path}: layer {i} weight shape {w.shape} "
-                              f"does not fit input width {d}")
-        if attn is not None:
-            w1, w2 = attn[i]
-            if w1.ndim != 2 or w1.shape[0] != 2 * d or w1.shape[1] < 1 \
-                    or w2.shape != (w1.shape[1], 1):
-                raise FormatError(f"{path}: layer {i} attention shapes {w1.shape}, "
-                                  f"{w2.shape} do not fit input width {d}")
-        d = w.shape[1]
-    if head_w.shape != (d, 2) or head_b.shape != (2,):
-        raise FormatError(f"{path}: head shapes {head_w.shape}, {head_b.shape} "
-                          f"do not fit width {d}")
+        agg_tag, row_norm, n_layers, n_tensors = read_header(fh, path, GCNM_MAGIC,
+                                                             GCNM_VERSION, "<BBII")
+        if agg_tag >= len(AGGREGATORS):
+            raise FormatError(f"{path}: unknown aggregator tag {agg_tag}")
+        if row_norm > 1:
+            raise FormatError(f"{path}: row-normalization flag {row_norm}, expected 0 or 1")
+        aggregator = AGGREGATORS[agg_tag]
+        expected = n_layers + 2 + (2 * n_layers if aggregator == "attention" else 0)
+        if n_layers < 1 or n_tensors != expected:
+            raise FormatError(f"{path}: {n_tensors} tensors for {n_layers} {aggregator} "
+                              f"layers, expected {expected}")
+        tensors = []
+        for _ in range(n_tensors):
+            (rank,) = read_struct(fh, path, "<I", "tensor shape")
+            if rank not in (1, 2):
+                raise FormatError(f"{path}: tensor rank {rank}, expected 1 or 2")
+            shape = read_struct(fh, path, f"<{rank}Q", "tensor shape")
+            if 0 in shape:
+                raise FormatError(f"{path}: empty tensor shape {shape}")
+            tensors.append(read_array(fh, path, "<f4", shape, "tensor payload"))
+        check_end(fh, path)
+    dims = [tensors[0].shape[0] // 2] + [w.shape[-1] for w in tensors[:n_layers]]
+    hidden = tensors[-1].shape[0]  # rows of the last attention output weight, if any
+    for i, (t, shape) in enumerate(zip(tensors, param_shapes(dims, aggregator, hidden))):
+        if t.shape != shape:
+            raise FormatError(f"{path}: tensor {i} shape {t.shape}, expected {shape}")
     try:
-        return GcnModel(aggregator=aggregator, layer_weights=layers, head_weight=head_w,
-                        head_bias=head_b, attention_mlp=attn,
-                        mean_row_normalized=bool(row_norm))
+        return GcnModel.from_parameters(aggregator, tensors, bool(row_norm))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -372,6 +372,24 @@ def test_malformed_inputs_exit_one_line(synth_dir, trained_dir, tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_eval_labels_below_distractor_exit_one_line(synth_dir, tmp_path, capsys):
+    # "keep" scores distractors as one class, so -2 is not a second kind of distractor
+    labels, part = tmp_path / "l.lbls", tmp_path / "p.tsv"
+    dataset.save_labels(np.array([0, 0, 1, 1, -1, -2]), labels)
+    part.write_text("".join(f"{i}\t{c}\n" for i, c in enumerate([0, 0, 1, 1, 2, 2])))
+    code, out, err = run(capsys, "eval", "--partition", str(part), "--labels", str(labels))
+    assert (code, out) == (1, "")
+    assert err == f"error: {labels}: label -2 at index 5 is below -1\n"
+
+
+def test_cluster_with_feature_file_as_checkpoint_exits_one_line(synth_dir, tmp_path, capsys):
+    features = str(synth_dir / "features.fmat")
+    code, _, err = run(capsys, "cluster", "--features", features, "--checkpoint", features,
+                       "--out-dir", str(tmp_path / "c"))
+    assert code == 1
+    assert err.startswith("error:") and "bad magic" in err and err.count("\n") == 1
+
+
 def test_oversized_or_padded_inputs_exit_one_line(synth_dir, tmp_path, capsys):
     huge = tmp_path / "huge.fmat"
     huge.write_bytes(b"FMAT" + struct.pack("<IQI", 1, 2**40, 4))

@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+import conftest
 from linkgcn.dataset import (FeatureSet, FormatError, SynthSpec, load_features, load_labels,
                              normalize_rows, save_features, save_labels, synth_generate)
+from linkgcn.gcn import load_model
 
 
 def test_fmat_roundtrip(tmp_path):
@@ -76,6 +78,25 @@ def test_lbls_roundtrip(tmp_path):
     path = tmp_path / "l.lbls"
     save_labels(labels, path)
     np.testing.assert_array_equal(load_labels(path), labels)
+
+
+def test_lbls_rejects_labels_below_distractor(tmp_path):
+    path = tmp_path / "l.lbls"
+    save_labels(np.array([0, 0, 1, -1, -2, -3]), path)
+    with pytest.raises(FormatError, match="label -2 at index 4 is below -1") as exc:
+        load_labels(path)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("loader", [load_features, load_labels, load_model])
+def test_bad_magic_rejected_before_the_file_is_read(tmp_path, loader):
+    # a sparse 1 GiB file: read whole, it would overshoot the 512 MiB address cap
+    path = tmp_path / "big.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"NOPE")
+        fh.truncate(1 << 30)
+    with pytest.raises(conftest.ChildFailed, match=r"^FormatError: .*bad magic"):
+        conftest.run_with_address_limit(512 << 20, loader, str(path))
 
 
 def test_normalize_rows_basic():

@@ -443,9 +443,9 @@ def _model_with(model, **changes):
     ("short_payload", "truncated tensor payload"),
     ("layer_count", "tensors for 3 mean layers, expected 5"),
     ("trailing", "1 trailing bytes"),
-    ("unchained", "layer 1 weight shape"),
-    ("head", "head shapes"),
-    ("attention", "layer 0 attention shapes"),
+    ("unchained", "tensor 1 shape"),
+    ("head", "tensor 2 shape"),
+    ("attention", "tensor 5 shape"),
     ("nonfinite", "non-finite"),
 ])
 def test_load_model_rejects_malformed(tmp_path, case, match):
