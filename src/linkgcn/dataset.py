@@ -20,12 +20,20 @@ class FormatError(ValueError):
     """Raised when a binary feature/label file is malformed."""
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """Raise ValueError naming the first label below -1, the distractor label.
+    A clean array costs one min(), which allocates nothing."""
+    if labels.size and labels.min() < -1:
+        first = int(np.argmax(labels < -1))
+        raise ValueError(f"label {labels[first]} at index {first} is below -1")
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """An N x D matrix of float32 embeddings with optional identity labels.
 
-    Label -1 marks a distractor (no valid identity). Immutable after
-    construction; the arrays are marked read-only.
+    Label -1 marks a distractor (no valid identity); no label may lie below
+    it. Immutable after construction; the arrays are marked read-only.
     """
 
     features: np.ndarray
@@ -43,6 +51,7 @@ class FeatureSet:
             labels = np.ascontiguousarray(self.labels, dtype=np.int64)
             if labels.shape != (feats.shape[0],):
                 raise ValueError(f"labels length {labels.shape} does not match N={feats.shape[0]}")
+            check_labels(labels)
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
         if self.normalized:
@@ -150,7 +159,10 @@ def load_features(path) -> FeatureSet:
 
 
 def save_labels(labels: np.ndarray, path) -> None:
+    """Write identity labels; ValueError, before the file is opened, if one
+    lies below -1, which load_labels would reject."""
     labels = np.asarray(labels, dtype=np.int64)
+    check_labels(labels)
     with open(path, "wb") as fh:
         fh.write(LBLS_MAGIC)
         fh.write(struct.pack("<IQ", FORMAT_VERSION, labels.shape[0]))
@@ -163,9 +175,10 @@ def load_labels(path) -> np.ndarray:
         (n,) = read_header(fh, path, LBLS_MAGIC, FORMAT_VERSION, "<Q")
         labels = read_array(fh, path, "<i8", (n,), "payload")
         check_end(fh, path)
-    below = np.flatnonzero(labels < -1)
-    if below.size:
-        raise FormatError(f"{path}: label {labels[below[0]]} at index {below[0]} is below -1")
+    try:
+        check_labels(labels)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return labels
 
 

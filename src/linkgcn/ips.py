@@ -2,10 +2,10 @@
 pivot-relative feature normalization, and top-u edge wiring.
 
 Subgraphs are built a block of pivots at a time. A node of the block is
-keyed by (owner, id) as owner * N + id, where owner is its pivot's position
-in the block, so one sort or lookup serves every pivot of the block. Each
-subgraph keeps its edges as a list; the dense adjacency is built only on
-request.
+keyed by (owner, id) as owner * N + id in int64, where owner is its pivot's
+position in the block, so one sort or lookup serves every pivot of the
+block. Each subgraph keeps its edges as a list; the dense adjacency is built
+only on request.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ BLOCK_CANDIDATES = 16 * (80 + 80 * 5) * 5
 @dataclass(frozen=True)
 class InstancePivotSubgraph:
     pivot: int
-    nodes: np.ndarray       # instance ids, hop-major discovery order, pivot excluded
+    nodes: np.ndarray       # int32 instance ids, hop-major discovery order, pivot excluded
     hop_of: np.ndarray      # minimum hop at which each node was discovered
     features: np.ndarray    # node features minus the pivot feature (float32)
     edges: np.ndarray       # (2, m) node positions: both directions of every edge,
@@ -115,12 +115,13 @@ def _discover(pivots: np.ndarray, nbrs: NeighborTable, cfg: IpsConfig):
     """Subgraph nodes of a block of pivots as (owner, node, hop) arrays,
     grouped by owner (the pivot's position in `pivots`). Within an owner the
     order is the one-pivot walk's: hop by hop, each hop taking the frontier's
-    neighbor lists in frontier order and keeping first sightings."""
+    neighbor lists in frontier order and keeping first sightings. Owners are
+    int64, so every owner * N + id key is; node ids are the table's int32."""
     for t, k in enumerate(cfg.k_per_hop, 1):
         if k > nbrs.k:
             raise ValueError(f"k_per_hop[{t - 1}]={k} exceeds neighbor table k={nbrs.k}")
     n = nbrs.indices.shape[0]
-    owner = np.arange(pivots.size)
+    owner = np.arange(pivots.size, dtype=np.int64)
     ids = pivots
     seen = owner * n + ids
     found = []

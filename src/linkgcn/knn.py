@@ -18,14 +18,16 @@ class NeighborTable:
     """Per-instance top-k neighbor ids and cosine similarities.
 
     Rows are sorted by descending similarity; exact ties are broken by
-    ascending instance id. An instance never lists itself.
+    ascending instance id. An instance never lists itself. Ids are held as
+    int32 (4 bytes a link rather than 8), so N stays below 2^31; a key that
+    combines two ids, such as owner * N + id, must be computed in int64.
     """
 
-    indices: np.ndarray       # N x k int64
+    indices: np.ndarray       # N x k int32
     similarities: np.ndarray  # N x k float32
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
+        idx = np.ascontiguousarray(self.indices, dtype=np.int32)
         sim = np.ascontiguousarray(self.similarities, dtype=np.float32)
         if idx.ndim != 2 or idx.shape != sim.shape:
             raise ValueError("indices and similarities must share an N x k shape")
@@ -114,9 +116,11 @@ def block_rows(n: int) -> int:
 
 
 def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k neighbor ids (int64) and similarities (float32) per row
+    """Exact top-k neighbor ids (int32) and similarities (float32) per row
     of the (N, D) `unit`, self excluded, ordered by (similarity desc, id
     asc) of the float64 similarities. Rows are assumed unit-normalized.
+    Selection works on int64 partition indices; only the kept ids are
+    narrowed to int32 as they are stored.
 
     The rows are read as one C-contiguous (D, N) float64 array, the
     transpose of `unit`: no copy when `unit` is such an array's .T view, as
@@ -131,7 +135,7 @@ def topk_cosine(unit: np.ndarray, k: int, workers: int = 1) -> tuple[np.ndarray,
     """
     unit_t = np.ascontiguousarray(unit.T, dtype=np.float64)
     n = unit_t.shape[1]
-    out_idx = np.empty((n, k), dtype=np.int64)
+    out_idx = np.empty((n, k), dtype=np.int32)
     out_sim = np.empty((n, k), dtype=np.float32)
     block = block_rows(n)
     chunk = max(1, min(block, (1 << 20) // (8 * n)))  # ~1 MiB of int64 indices

@@ -14,23 +14,30 @@ from linkgcn.knn import NeighborTable
 
 @dataclass(frozen=True)
 class WeightedEdgeSet:
-    """Unique undirected edges (i < j) weighted by linkage likelihood."""
+    """Unique undirected edges (i < j) weighted by linkage likelihood, held
+    as int32 ids and float32 weights (12 bytes an edge), the likelihoods'
+    own dtype. A float64 weight is checked, then rounded to the nearest
+    float32, so a hand-written 0.7 is stored just below 0.7. Threshold
+    readers compare through float32_threshold, so a stored weight clears
+    tau exactly when its float64 value does."""
 
     i: np.ndarray
     j: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        i = np.ascontiguousarray(self.i, dtype=np.int64)
-        j = np.ascontiguousarray(self.j, dtype=np.int64)
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
+        i = np.ascontiguousarray(self.i, dtype=np.int32)
+        j = np.ascontiguousarray(self.j, dtype=np.int32)
+        w = np.asarray(self.w)
         if not (i.shape == j.shape == w.shape):
             raise ValueError("edge arrays must share a shape")
         if np.any(i >= j):
             raise ValueError("edges must be canonical with i < j")
         if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both
             raise ValueError("edge weights must be finite and lie in [0, 1]")
-        keys = i * (j.max() + 1 if j.size else 1)
+        w = np.ascontiguousarray(w, dtype=np.float32)
+        keys = i.astype(np.int64)  # i * (max j + 1) passes 2^31 once N > 46,341
+        keys *= int(j.max()) + 1 if j.size else 1
         keys += j
         # pool_edges output is already strictly increasing: no sort needed
         if not np.all(keys[1:] > keys[:-1]):
@@ -58,29 +65,37 @@ def canonical_labels(assignment: np.ndarray) -> np.ndarray:
 
 def pool_edges(hop1_nodes, likelihoods) -> WeightedEdgeSet:
     """Pool pivot->neighbor likelihoods into one undirected edge set; row p of
-    the two (P, k) tables holds pivot p's neighbor ids and likelihoods. One
-    sort by key min * n + max (n above every id), then likelihood descending,
-    keeps each pair's larger likelihood in at most ~42 bytes a link beyond the
-    tables. ValueError names the first pivot with a non-finite likelihood."""
-    hop1_nodes, likelihoods = np.asarray(hop1_nodes, dtype=np.int64), np.asarray(likelihoods)
+    the two (P, k) tables holds pivot p's neighbor ids and likelihoods. The
+    id table is read as int32, without a copy when it is one, such as a
+    slice of NeighborTable.indices. One sort by the int64 key min * n + max
+    (n above every id), then likelihood descending, keeps each pair's larger
+    likelihood, in at most 25 bytes a link beyond the tables: the keys, the
+    sort order and the sorted keys, then the kept order beside them. The
+    edges hold int32 ids and the likelihoods' own float32 values. ValueError names the first pivot with a non-finite
+    likelihood."""
+    hop1_nodes = np.asarray(hop1_nodes, dtype=np.int32)
+    likelihoods = np.asarray(likelihoods)
     bad = ~np.isfinite(likelihoods).all(axis=1)
     if bad.any():
         raise ValueError(f"pivot {int(np.argmax(bad))} has a non-finite link likelihood")
     n = max(len(hop1_nodes), int(hop1_nodes.max(initial=-1)) + 1)
-    pivots = np.arange(len(hop1_nodes))[:, None]
-    key = np.minimum(pivots, hop1_nodes).ravel()
+    pivots = np.arange(len(hop1_nodes), dtype=np.int64)[:, None]
+    key = np.minimum(pivots, hop1_nodes).ravel()  # int64, as pivots are
     key *= n
     key += np.maximum(pivots, hop1_nodes).ravel()
     order = np.lexsort((-likelihoods.ravel(), key))
     key = key[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    order, key = order[first], key[first]
-    w = likelihoods.ravel()[order].astype(np.float64)
+    order = order[first]  # one at a time: the full-length order goes before key[first]
+    key = key[first]
+    del first
+    w = likelihoods.ravel()[order]
     del order  # before the edge set's arrays, to keep the peak down
-    j = key % n
-    key //= n
-    return WeightedEdgeSet(i=key, j=j, w=w)
+    i, j = np.divmod(key, n, out=(np.empty(key.size, np.int32), np.empty(key.size, np.int32)),
+                     casting="unsafe")
+    del key  # before the edge set's duplicate check builds its own keys
+    return WeightedEdgeSet(i=i, j=j, w=w)
 
 
 # Fewest edges a merge reads at a time. A chunk holds at least N edges
@@ -125,10 +140,25 @@ def _components(n: int, kept_edges, count: int, chunk: int) -> np.ndarray:
     return np.unique(parent, return_inverse=True)[1]
 
 
+def float32_threshold(tau: float) -> np.float32:
+    """The smallest float32 at or above tau: a float32 value clears it exactly
+    when its float64 value clears tau. NumPy compares a float32 array with a
+    Python float in float32, where tau's nearest float32 may lie below tau
+    (0.7, 0.35), so a bare `w >= tau` would keep weights under tau."""
+    if tau > float(np.finfo(np.float32).max):
+        return np.float32(np.inf)
+    threshold = np.float32(tau)
+    if float(threshold) < tau:
+        threshold = np.nextafter(threshold, np.float32(np.inf))
+    return threshold
+
+
 def _edge_components(edges: WeightedEdgeSet, n: int, tau: float) -> np.ndarray:
     """Components of the edges with weight >= tau, read in chunks."""
+    threshold = float32_threshold(tau)
+
     def kept_edges(lo, hi):
-        kept = edges.w[lo:hi] >= tau
+        kept = edges.w[lo:hi] >= threshold
         return edges.i[lo:hi][kept], edges.j[lo:hi][kept]
     return _components(n, kept_edges, len(edges), _edge_chunk(n))
 
@@ -219,11 +249,7 @@ def threshold_baseline(fs: FeatureSet, nbrs: NeighborTable, tau_sim: float) -> n
     """Non-learned comparator: link kNN pairs whose raw cosine similarity
     clears a global threshold, then take components."""
     check_tau_sim(tau_sim)
-    # the smallest float32 >= tau_sim: a float32 similarity clears it exactly
-    # when it clears tau_sim in float64, whatever numpy's promotion rules
-    threshold = np.float32(tau_sim)
-    if float(threshold) < tau_sim:
-        threshold = np.nextafter(threshold, np.float32(np.inf))
+    threshold = float32_threshold(tau_sim)
     return table_components(fs.n, nbrs.indices,
                             lambda lo, hi: nbrs.similarities[lo:hi] >= threshold)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linkgcn.dataset import FeatureSet
+from linkgcn.dataset import FeatureSet, check_labels
 from linkgcn.knn import NeighborTable
 from linkgcn.merge import table_components
 
@@ -90,11 +90,13 @@ def evaluate(truth: np.ndarray, pred: np.ndarray,
              distractors: str = "keep") -> EvalReport:
     """Full report. `distractors` controls instances with truth label -1:
     "keep" leaves them as one shared class, "ignore" masks them out, and
-    "unique" treats each as its own singleton identity."""
+    "unique" treats each as its own singleton identity. A truth label below
+    -1 is a ValueError, as it is in a label file."""
     truth = np.asarray(truth, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
     if truth.shape != pred.shape:
         raise ValueError(f"length mismatch: {truth.shape} vs {pred.shape}")
+    check_labels(truth)
     if distractors == "ignore":
         mask = truth >= 0
         truth, pred = truth[mask], pred[mask]

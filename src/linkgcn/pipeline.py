@@ -73,7 +73,7 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     _check_width(fs, model)
     t0 = time.perf_counter()
     if fs.n == 1:
-        edges = pool_edges(np.empty((1, 0), np.int64), np.empty((1, 0)))
+        edges = pool_edges(np.empty((1, 0), np.int32), np.empty((1, 0), np.float32))
         t1 = t2 = time.perf_counter()
     else:
         ips_cfg = clamp_config(ips_cfg, fs.n)  # once, so one warning covers both stages

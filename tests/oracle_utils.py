@@ -283,7 +283,8 @@ def propagate_oracle(edges, n, tau0, dtau, max_size):
     t = 0
     while queued.any():
         tau = tau0 + t * dtau
-        keep = (edges.w >= tau) & queued[edges.i] & queued[edges.j]
+        # widened: compared with a Python float, float32 weights would round tau
+        keep = (edges.w.astype(np.float64) >= tau) & queued[edges.i] & queued[edges.j]
         comp = union_find_components(n, edges.i[keep], edges.j[keep])
         comp[~queued] = -1
         sizes = np.bincount(comp[queued])

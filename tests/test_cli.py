@@ -375,7 +375,8 @@ def test_malformed_inputs_exit_one_line(synth_dir, trained_dir, tmp_path, capsys
 def test_eval_labels_below_distractor_exit_one_line(synth_dir, tmp_path, capsys):
     # "keep" scores distractors as one class, so -2 is not a second kind of distractor
     labels, part = tmp_path / "l.lbls", tmp_path / "p.tsv"
-    dataset.save_labels(np.array([0, 0, 1, 1, -1, -2]), labels)
+    raw = np.array([0, 0, 1, 1, -1, -2], "<i8")  # written raw: save_labels refuses -2
+    labels.write_bytes(dataset.LBLS_MAGIC + struct.pack("<IQ", 1, raw.size) + raw.tobytes())
     part.write_text("".join(f"{i}\t{c}\n" for i, c in enumerate([0, 0, 1, 1, 2, 2])))
     code, out, err = run(capsys, "eval", "--partition", str(part), "--labels", str(labels))
     assert (code, out) == (1, "")

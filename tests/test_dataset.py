@@ -82,10 +82,24 @@ def test_lbls_roundtrip(tmp_path):
 
 def test_lbls_rejects_labels_below_distractor(tmp_path):
     path = tmp_path / "l.lbls"
-    save_labels(np.array([0, 0, 1, -1, -2, -3]), path)
+    labels = np.array([0, 0, 1, -1, -2, -3], "<i8")  # written raw: save_labels refuses them
+    path.write_bytes(b"LBLS" + struct.pack("<IQ", 1, labels.size) + labels.tobytes())
     with pytest.raises(FormatError, match="label -2 at index 4 is below -1") as exc:
         load_labels(path)
     assert "\n" not in str(exc.value)
+
+
+def test_save_labels_refuses_labels_below_distractor(tmp_path):
+    path = tmp_path / "l.lbls"
+    with pytest.raises(ValueError, match="^label -2 at index 4 is below -1$"):
+        save_labels(np.array([0, 0, 1, -1, -2, -3]), path)
+    assert not path.exists()
+
+
+def test_feature_set_refuses_labels_below_distractor():
+    with pytest.raises(ValueError, match="^label -5 at index 1 is below -1$"):
+        FeatureSet(features=np.ones((3, 2), np.float32), labels=np.array([-1, -5, 0]))
+    assert FeatureSet(features=np.ones((2, 2), np.float32), labels=[-1, 0]).labels[0] == -1
 
 
 @pytest.mark.parametrize("loader", [load_features, load_labels, load_model])

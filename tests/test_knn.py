@@ -183,7 +183,7 @@ def test_topk_cosine_matches_lexsort_oracle(n, d, decimals, duplicates, k):
     want_sim = want_sim.astype(np.float32)
     for workers in (1, 2, 3):
         idx, sim = knn.topk_cosine(unit, k, workers=workers)
-        assert idx.dtype == np.int64 and sim.dtype == np.float32
+        assert idx.dtype == np.int32 and sim.dtype == np.float32
         assert np.array_equal(idx, want_idx), workers
         assert sim.tobytes() == want_sim.tobytes(), workers
 
@@ -232,7 +232,7 @@ def test_topk_cosine_scratch_is_one_block():
     n, k, d = 6000, 80, 16
     unit = unit_rows(np.random.default_rng(0), n, d)
     block_bytes = knn.block_rows(n) * n * 8
-    out_bytes = n * k * (8 + 4)  # int64 ids, float32 similarities
+    out_bytes = n * k * (4 + 4)  # int32 ids, float32 similarities
     for workers in (1, 2):
         tracemalloc.start()
         try:

@@ -5,14 +5,15 @@ import pytest
 
 from linkgcn import merge
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
+from linkgcn.ips import IpsConfig, build_block
 from linkgcn.knn import NeighborTable, build_knn
 from linkgcn.merge import (EDGE_CHUNK, WeightedEdgeSet, _components, bfs_cluster,
                            canonical_labels,
                            filter_singletons, load_partition, pool_edges,
                            propagate_cluster, save_edges, save_partition,
                            table_components, threshold_baseline)
-from oracle_utils import (bfs_components, pool_edges_oracle, propagate_oracle,
-                          union_find_components)
+from oracle_utils import (bfs_components, discover_nodes_loop, pool_edges_oracle,
+                          propagate_oracle, subgraph_adjacency_oracle, union_find_components)
 
 
 def edge_set(triples):
@@ -83,7 +84,8 @@ def assert_pool_matches_oracle(hop1, probs):
     edges = pool_edges(hop1, probs)
     i, j, w = pool_edges_oracle(range(len(hop1)), hop1, probs)
     assert np.array_equal(edges.i, i) and np.array_equal(edges.j, j)
-    assert edges.w.tobytes() == w.tobytes()
+    # float32 weights that widen to exactly the oracle's float64 values
+    assert edges.w.dtype == np.float32 and edges.w.astype(np.float64).tobytes() == w.tobytes()
 
 
 def test_pool_edges_matches_dict_oracle():
@@ -104,12 +106,31 @@ def test_pool_edges_both_directions_and_empty_lists():
                                [[0.25, 0.5], [0.75, 0.75], [0.5, 0.5]])
     assert_pool_matches_oracle([[1], [3], [1], [1]], [[0.25], [0.5], [0.0], [0.5]])
     empty = pool_edges(np.empty((3, 0), np.int64), np.empty((3, 0), np.float32))
-    assert len(empty) == 0 and empty.i.dtype == np.int64 and empty.w.dtype == np.float64
+    assert len(empty) == 0 and empty.i.dtype == np.int32 and empty.w.dtype == np.float32
     assert len(pool_edges(np.empty((0, 0)), np.empty((0, 0)))) == 0
     # ragged rows, or tables of different shapes, are refused
     for hop1, probs in (([[1, 2], [0]], [[0.5, 0.5], [0.5]]), ([[1, 2], [0, 2]], [[0.5, 0.5]])):
         with pytest.raises(ValueError):
             pool_edges(hop1, probs)
+
+
+def test_pool_edges_peak_per_link():
+    # Beyond its two tables, pooling holds at most the int64 keys, the sort
+    # order and the sorted keys at once: 24 bytes a link, and 25 while the
+    # first-of-pair mask (1 byte) and the kept order (8 bytes a kept pair)
+    # outlive the full-length order. Random ids keep nearly every pair.
+    rng = np.random.default_rng(6)
+    n, k = 12_500, 80
+    hop1 = rng.integers(0, n - 1, (n, k), dtype=np.int32)
+    hop1 += hop1 >= np.arange(n, dtype=np.int32)[:, None]
+    probs = rng.random((n, k), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        pool_edges(hop1, probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * n * k + (1 << 20), peak / (n * k)
 
 
 def test_edge_set_validation():
@@ -178,7 +199,50 @@ def test_edge_set_empty():
     edges = WeightedEdgeSet(i=np.empty(0, np.int64), j=np.empty(0, np.int64),
                             w=np.empty(0))
     assert len(edges) == 0
-    assert edges.i.dtype == edges.j.dtype == np.int64 and edges.w.dtype == np.float64
+    assert edges.i.dtype == edges.j.dtype == np.int32 and edges.w.dtype == np.float32
+
+
+# ------------------------------------------------- int32 ids past 2^31 keys
+
+def test_int32_ids_keep_int64_keys_past_two_to_the_31():
+    # N = 50,000 > 46,341, so id * N passes 2^31: every key that combines two
+    # ids must be computed in int64. Every row lists k ids near N - 1.
+    n, k = 50_000, 4
+    rng = np.random.default_rng(11)
+    offsets = rng.integers(1, 60, (n, k)).cumsum(axis=1)  # distinct within a row
+    ids = n - offsets
+    own = ids == np.arange(n)[:, None]
+    ids[own] = (n - offsets[:, -1] - 1)[own.any(axis=1)]
+    nbrs = NeighborTable(indices=ids, similarities=np.zeros((n, k), np.float32))
+    assert nbrs.indices.dtype == np.int32
+    assert np.array_equal(nbrs.indices, ids) and int(ids.max()) * n >= 2**31
+
+    fs = FeatureSet(features=rng.standard_normal((n, 2)).astype(np.float32))
+    cfg = IpsConfig(h=2, k_per_hop=(4, 2), u=2)
+    pivots = [0, 1] + list(range(n - 16, n))
+    for ips in build_block(pivots, fs, nbrs, cfg):
+        nodes, hops = discover_nodes_loop(ips.pivot, ids, cfg.k_per_hop)
+        assert np.array_equal(ips.nodes, nodes) and np.array_equal(ips.hop_of, hops)
+        assert ips.adjacency.tobytes() == subgraph_adjacency_oracle(nodes, ids, cfg.u).tobytes()
+
+    probs = rng.random((n, k), dtype=np.float32)
+    edges = pool_edges(nbrs.indices, probs)
+    i, j, w = pool_edges_oracle(range(n), ids, probs)
+    assert np.array_equal(edges.i, i) and np.array_equal(edges.j, j)
+    assert np.array_equal(edges.w.astype(np.float64), w)
+
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    keep_odd = (np.arange(n)[:, None] + np.arange(k)) % 2 == 1
+    out = table_components(n, nbrs.indices, lambda lo, hi: keep_odd[lo:hi])
+    expect = union_find_components(n, src[keep_odd.ravel()], ids.ravel()[keep_odd.ravel()])
+    np.testing.assert_array_equal(out, canonical_labels(expect))
+
+    pair_i, pair_j = np.array([n - 5, n - 3, n - 2]), np.array([n - 1, n - 1, n - 1])
+    edges = WeightedEdgeSet(i=pair_i, j=pair_j, w=np.full(3, 0.5))
+    assert np.array_equal(edges.i, pair_i) and np.array_equal(edges.j, pair_j)
+    with pytest.raises(ValueError, match="duplicate edge"):
+        WeightedEdgeSet(i=np.append(pair_i, n - 3), j=np.append(pair_j, n - 1),
+                        w=np.full(4, 0.5))
 
 
 # ------------------------------------------------------------ bfs_cluster
@@ -203,7 +267,7 @@ def test_bfs_matches_union_find_oracle():
         edges = random_edges(rng, 40, 80)
         tau = float(rng.random())
         out = bfs_cluster(edges, tau, n=40)
-        keep = edges.w >= tau
+        keep = edges.w.astype(np.float64) >= tau
         oracle = union_find_components(40, edges.i[keep], edges.j[keep])
         np.testing.assert_array_equal(out, canonical_labels(oracle))
 
@@ -481,6 +545,53 @@ def test_baseline_compares_float32_similarities_in_float64():
             linked = float(sim) >= tau
             np.testing.assert_array_equal(threshold_baseline(fs, nbrs, tau),
                                           [0, 0] if linked else [0, 1], err_msg=f"{tau} {sim}")
+
+
+# -------------------------------------------- float32 weights at the boundary
+
+@pytest.mark.parametrize("tau", [0.7, 0.35, 0.55])
+def test_threshold_readers_agree_with_float64_at_the_float32_boundary(tau):
+    # The float32 just below, at and just above tau's nearest float32, which
+    # lies below tau for 0.7 and 0.35 and above it for 0.55. Compared with a
+    # Python float, a float32 array rounds tau to that float32 and would keep
+    # the middle weight at 0.7 and 0.35.
+    near = np.float32(tau)
+    weights = np.array([np.nextafter(near, np.float32(0)), near,
+                        np.nextafter(near, np.float32(1))], np.float32)
+    linked = weights.astype(np.float64) >= tau
+    assert linked.tolist() == [False, float(near) >= tau, True]
+
+    # pairs 0-1, 2-3 and 4-5, one weight each, and the chain 6-7-8-9
+    n = 10
+    edges = WeightedEdgeSet(i=[0, 2, 4, 6, 7, 8], j=[1, 3, 5, 7, 8, 9],
+                            w=np.tile(weights, 2))
+    kept = edges.w.astype(np.float64) >= tau
+    expect = canonical_labels(union_find_components(n, edges.i[kept], edges.j[kept]))
+    np.testing.assert_array_equal(bfs_cluster(edges, tau, n), expect)
+    # round 0 cuts at tau, or round 1 does: tau / 2 + tau / 2 is exactly tau
+    for tau0, dtau in ((tau, 0.1), (tau / 2, tau / 2)):
+        for max_size in (1, 2, n):
+            out = propagate_cluster(edges, n, tau0=tau0, dtau=dtau, max_size=max_size)
+            want, _ = propagate_oracle(edges, n, tau0=tau0, dtau=dtau, max_size=max_size)
+            np.testing.assert_array_equal(out, want, err_msg=f"{tau0} {dtau} {max_size}")
+        if tau0 == tau:
+            np.testing.assert_array_equal(out, expect)
+
+    # each instance's one neighbor is its partner, at the pair's similarity
+    fs = FeatureSet(features=np.eye(6, dtype=np.float32))
+    nbrs = NeighborTable(indices=(np.arange(6) ^ 1)[:, None],
+                         similarities=np.repeat(weights, 2)[:, None])
+    expect = [0, 0 if linked[0] else 1, 2, 2 if linked[1] else 3, 4, 4]
+    np.testing.assert_array_equal(canonical_labels(threshold_baseline(fs, nbrs, tau)),
+                                  canonical_labels(expect))
+
+
+def test_propagate_threshold_past_float32_range():
+    # round 1 cuts at 1e300, beyond every float32: it keeps no edge, and
+    # rounding the threshold to float32 must not overflow (warnings are errors)
+    edges = edge_set([(0, 1, 1.0), (1, 2, 1.0)])
+    np.testing.assert_array_equal(
+        propagate_cluster(edges, n=3, tau0=0.5, dtau=1e300, max_size=2), [0, 1, 2])
 
 
 # ---------------------------------------------------------------- text IO

@@ -120,6 +120,14 @@ def test_evaluate_distractor_modes():
     assert unique.bcubed_precision < 1.0
 
 
+@pytest.mark.parametrize("distractors", ["keep", "ignore", "unique"])
+def test_evaluate_refuses_labels_below_distractor(distractors):
+    # "keep" would score -1 and -2 as two classes of distractors
+    truth = np.array([0, 0, 1, -1, -2])
+    with pytest.raises(ValueError, match="^label -2 at index 4 is below -1$"):
+        evaluate(truth, np.array([0, 0, 1, 2, 2]), distractors=distractors)
+
+
 def oracle_view(truth, pred, distractors):
     """What evaluate scores in each distractor mode, built without its code:
     "ignore" drops label -1, "unique" gives each such instance its own label."""

@@ -243,12 +243,12 @@ def test_link_prediction_memory_per_instance():
         edges, peaks[n] = conftest.run_with_address_limit(
             2**30, capped_prediction, fs, build_knn(fs, IPS.table_k))
         assert edges > 0
-    # Per instance, the child holds its inputs (16 float32 features, 80 int64
+    # Per instance, the child holds its inputs (16 float32 features, 80 int32
     # ids and 80 float32 similarities), then one row of 80 float32
-    # likelihoods and pooling's sort keys. Those measured 2.6 KB. A likelihood
-    # array and a node-array view kept per pivot, then sorted on three keys,
-    # would take about 8.9 KB.
-    inputs = 4 * 16 + (8 + 4) * 80
+    # likelihoods and pooling's sort keys. Those measured 3.4 KB (3.8 KB with
+    # int64 ids). A likelihood array and a node-array view kept per pivot,
+    # then sorted on three keys, would take about 8.9 KB.
+    inputs = 4 * 16 + (4 + 4) * 80
     slack = 16 * 2**20
     assert peaks[12000] - peaks[2000] <= (inputs + 4096) * 10000 + slack, peaks
 

@@ -158,11 +158,11 @@ def test_one_epoch_fits_in_one_gib():
     # 2,000 the peak may grow only by what the kNN stage needs: a float64
     # similarity block of knn.block_rows(N) rows (1 MiB more at N = 2,000;
     # the slack covers one more per extra kNN thread) and the (N, 200)
-    # neighbor table, built as int64 ids and float64 similarities, then copied
-    # to float32. The growth measured 3.8-5.2 MiB on 2 cores. Caching every
-    # pivot's edges would add about 60 KiB a pivot.
+    # neighbor table of int32 ids and float32 similarities. The growth
+    # measured 3.8-5.2 MiB on 2 cores. Caching every pivot's edges would add
+    # about 60 KiB a pivot.
     knn_block = 8 * (knn.block_rows(2000) * 2000 - knn.block_rows(1000) * 1000)
-    table = (8 + 8 + 4) * 200 * (2000 - 1000)
+    table = (4 + 4) * 200 * (2000 - 1000)
     slack = 16 * 2**20
     assert peaks[2000] - peaks[1000] <= knn_block + table + slack, peaks
 
