@@ -94,7 +94,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg, fs = _setup(args, need_labels=True)
-    model, curve = trainer.train(fs, cfg.train_config())
+    model, curve = trainer.train(fs, cfg)
     out = _out_dir(args)
     gcn.save_model(model, out / "model.gcnm")
     with open(out / "loss.csv", "w") as fh:

@@ -21,9 +21,9 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
 
 
 @dataclass
-class TrainSettings:
-    """The model, optimizer and seed of a training run: their defaults and
-    checks, shared by PipelineConfig and trainer.TrainConfig."""
+class PipelineConfig:
+    """Every setting of a run, with its default and its check: the model,
+    the optimizer and seed, the train and test subgraph regimes, and merging."""
     # model
     aggregator: str = "mean"
     hidden_dims: tuple = (256, 256, 128, 64)
@@ -35,9 +35,32 @@ class TrainSettings:
     momentum: float = 0.9
     lr_decay: float = 0.1
     seed: int = 0
+    # data
+    normalize: bool = True
+    # pivot-subgraph regimes (train favors many 1-hop nodes for supervision,
+    # test trades subgraph size for speed)
+    train_k1: int = 200
+    train_k2: int = 10
+    train_u: int = 10
+    test_k1: int = 80
+    test_k2: int = 5
+    test_u: int = 5
+    hops: int = 2
+    # model, continued
+    mean_row_normalize: bool = False
+    # merging
+    merge: str = "propagate"  # one of merge.STRATEGIES
+    tau: float = 0.5          # bfs threshold
+    tau0: float = 0.5
+    dtau: float = 0.05
+    max_size: int = 600
+    # misc
+    workers: int = 0          # kNN and pivot-scoring threads; 0 derives them from the cores
 
     def __post_init__(self):
-        from linkgcn.gcn import AGGREGATORS  # here: gcn imports this module
+        # imported here: gcn and merge import this module
+        from linkgcn.gcn import AGGREGATORS
+        from linkgcn.merge import check_merge
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {', '.join(AGGREGATORS)}, "
                              f"got {self.aggregator!r}")
@@ -54,35 +77,6 @@ class TrainSettings:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-
-
-@dataclass
-class PipelineConfig(TrainSettings):
-    # data
-    normalize: bool = True
-    # pivot-subgraph regimes (train favors many 1-hop nodes for supervision,
-    # test trades subgraph size for speed)
-    train_k1: int = 200
-    train_k2: int = 10
-    train_u: int = 10
-    test_k1: int = 80
-    test_k2: int = 5
-    test_u: int = 5
-    hops: int = 2
-    # model, beyond TrainSettings
-    mean_row_normalize: bool = False
-    # merging
-    merge: str = "propagate"  # one of merge.STRATEGIES
-    tau: float = 0.5          # bfs threshold
-    tau0: float = 0.5
-    dtau: float = 0.05
-    max_size: int = 600
-    # misc
-    workers: int = 0          # kNN and pivot-scoring threads; 0 derives them from the cores
-
-    def __post_init__(self):
-        super().__post_init__()
-        from linkgcn.merge import check_merge  # here: see the gcn import above
         check_merge(self.merge, tau=self.tau, tau0=self.tau0, dtau=self.dtau,
                     max_size=self.max_size)
         for name in ("hops", "train_k1", "train_k2", "train_u", "test_k1", "test_k2", "test_u"):
@@ -90,15 +84,6 @@ class PipelineConfig(TrainSettings):
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-
-    def train_config(self):
-        """The trainer.TrainConfig of this config's model, train regime and optimizer."""
-        from linkgcn.ips import regime_config  # here: see the gcn import above
-        from linkgcn.trainer import TrainConfig
-        return TrainConfig(
-            **{f.name: getattr(self, f.name) for f in fields(TrainSettings)},
-            mean_row_normalized=self.mean_row_normalize,
-            ips=regime_config(self.train_k1, self.train_k2, self.train_u, self.hops))
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linkgcn.config import TrainSettings
+from linkgcn.config import PipelineConfig
 from linkgcn.dataset import FormatError, check_end, read_array, read_header, read_struct
 from linkgcn.ips import InstancePivotSubgraph
 
@@ -91,7 +91,7 @@ def _glorot(rng, shape, dtype):
 
 
 def init_model(dims, aggregator: str, rng: np.random.Generator,
-               attention_hidden: int = TrainSettings.attention_hidden, dtype=np.float32,
+               attention_hidden: int = PipelineConfig.attention_hidden, dtype=np.float32,
                mean_row_normalized: bool = False) -> GcnModel:
     """Fresh model for input width dims[0] and layer widths dims[1:]: Glorot
     weights drawn in parameters() order, and a zero head bias."""

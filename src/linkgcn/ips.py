@@ -51,7 +51,10 @@ def regime_config(k1: int, k2: int, u: int, hops: int) -> IpsConfig:
 
 def clamp_config(cfg: IpsConfig, n: int) -> IpsConfig:
     """Clamp per-hop neighbor counts and u to N-1 so large regimes still run
-    on small collections. Warns when clamping happens."""
+    on small collections. Warns when clamping happens; ValueError below
+    N = 2, where a pivot has no neighbor."""
+    if n < 2:
+        raise ValueError(f"a subgraph needs at least 2 instances, got N={n}")
     cap = n - 1
     ks = tuple(min(k, cap) for k in cfg.k_per_hop)
     u = min(cfg.u, cap)

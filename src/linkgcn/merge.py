@@ -71,8 +71,8 @@ def pool_edges(hop1_nodes, likelihoods) -> WeightedEdgeSet:
     (n above every id), then likelihood descending, keeps each pair's larger
     likelihood, in at most 25 bytes a link beyond the tables: the keys, the
     sort order and the sorted keys, then the kept order beside them. The
-    edges hold int32 ids and the likelihoods' own float32 values. ValueError names the first pivot with a non-finite
-    likelihood."""
+    edges hold int32 ids and the likelihoods' own float32 values.
+    ValueError names the first pivot with a non-finite likelihood."""
     hop1_nodes = np.asarray(hop1_nodes, dtype=np.int32)
     likelihoods = np.asarray(likelihoods)
     bad = ~np.isfinite(likelihoods).all(axis=1)

@@ -4,26 +4,32 @@ momentum, and the 2-D embedding trace used for visualization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from linkgcn.config import PipelineConfig, TrainSettings, seed_stream
+from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, init_model, loss_and_grads_edges, _forward_edges
-from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, clamp_config
+from linkgcn.ips import (IpsConfig, InstancePivotSubgraph, build_block, clamp_config,
+                         regime_config)
 from linkgcn.knn import build_knn
 
 # fractions of the epochs after which the learning rate is multiplied by lr_decay
 DECAY_AT = (0.5, 0.75)
 
 
-@dataclass
-class TrainConfig(TrainSettings):
-    """TrainSettings with the model's mean-row normalization and the train
-    regime, PipelineConfig's by default."""
-    mean_row_normalized: bool = False
-    ips: IpsConfig = field(default_factory=lambda: PipelineConfig().train_config().ips)
+def TrainConfig(*, aggregator: str, hidden_dims, ips: IpsConfig, epochs: int,
+                batch_size: int, seed: int) -> PipelineConfig:
+    """The PipelineConfig with these settings, its train regime taken from a
+    (k1, k2, ..., k2) ips; ValueError for any other ips. The benchmark builds
+    its training configs through this; it goes once the benchmark builds a
+    PipelineConfig itself (ROADMAP items 1 and 8)."""
+    k1 = ips.k_per_hop[0]
+    k2 = ips.k_per_hop[1] if ips.h > 1 else PipelineConfig.train_k2  # one hop reads no k2
+    if regime_config(k1, k2, ips.u, ips.h) != ips:
+        raise ValueError(f"ips k_per_hop {ips.k_per_hop} is not (k1, k2, ..., k2)")
+    return PipelineConfig(aggregator=aggregator, hidden_dims=hidden_dims, epochs=epochs,
+                          batch_size=batch_size, seed=seed, train_k1=k1, train_k2=k2,
+                          train_u=ips.u, hops=ips.h)
 
 
 def subgraph_labels(ips: InstancePivotSubgraph, labels: np.ndarray) -> np.ndarray:
@@ -60,8 +66,9 @@ def _sgd_step(params, grads, velocities, lr, momentum):
         p += v
 
 
-def train(fs: FeatureSet, cfg: TrainConfig):
-    """Fit a link predictor on a labeled collection.
+def train(fs: FeatureSet, cfg: PipelineConfig):
+    """Fit a link predictor on a labeled collection with cfg's model,
+    optimizer, seed and train regime.
 
     Each batch's subgraphs are built when the batch is reached and dropped
     after its step, so no per-pivot state outlives its batch. Returns the
@@ -74,13 +81,14 @@ def train(fs: FeatureSet, cfg: TrainConfig):
     if identities.size < 2:
         raise ValueError(f"training needs >= 2 identities, got {identities.size}")
 
-    ips_cfg = clamp_config(cfg.ips, fs.n)
+    ips_cfg = clamp_config(regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
+                           fs.n)
     nbrs = build_knn(fs, ips_cfg.table_k)
 
     rng_init = seed_stream(cfg.seed, "init")
     model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, rng_init,
                        attention_hidden=cfg.attention_hidden,
-                       mean_row_normalized=cfg.mean_row_normalized)
+                       mean_row_normalized=cfg.mean_row_normalize)
     params = model.parameters()
     velocities = [np.zeros_like(p) for p in params]
 

@@ -18,7 +18,7 @@ import conftest
 
 from linkgcn import gcn, merge
 from linkgcn.cli import main as cli_main
-from linkgcn.config import seed_stream
+from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import (FeatureSet, SynthSpec, normalize_rows,
                              synth_generate)
 from linkgcn.gcn import init_model
@@ -28,7 +28,7 @@ from linkgcn.merge import (WeightedEdgeSet, bfs_cluster, filter_singletons,
                            propagate_cluster, threshold_baseline)
 from linkgcn.metrics import evaluate, knn_upper_bound
 from linkgcn.pipeline import predict_links
-from linkgcn.trainer import TrainConfig, train
+from linkgcn.trainer import train
 from oracle_utils import (bcubed_pair_oracle, finite_difference_grads,
                           max_relative_error, nmi_contingency_oracle,
                           random_instance)
@@ -66,7 +66,8 @@ def hard_run():
     """Train on one hard draw, predict links on another; shared by 4 and 8."""
     train_fs = hard_set(101)
     test_fs = hard_set(202)
-    cfg = TrainConfig(epochs=15, hidden_dims=(64, 64, 32, 16), ips=HARD_IPS)
+    cfg = PipelineConfig(epochs=15, hidden_dims=(64, 64, 32, 16),
+                         train_k1=80, train_k2=5, train_u=5)  # HARD_IPS's regime
     model, _ = train(train_fs, cfg)
     nbrs = build_knn(test_fs, 85)
     edges = predict_links(test_fs, nbrs, model, HARD_IPS)
@@ -146,7 +147,8 @@ def test_criterion_5_easy_set():
                      center_spread=1.0, noise_scale=(0.05, 0.05), seed=7)
     fs = normalize_rows(synth_generate(spec))
     ips = IpsConfig(h=2, k_per_hop=(40, 5), u=5)
-    cfg = TrainConfig(epochs=40, hidden_dims=(32, 32, 16, 8), ips=ips)
+    cfg = PipelineConfig(epochs=40, hidden_dims=(32, 32, 16, 8),
+                         train_k1=40, train_k2=5, train_u=5)  # ips's regime
     model, curve = train(fs, cfg)
     nbrs = build_knn(fs, 40)
     edges = predict_links(fs, nbrs, model, ips)

@@ -81,6 +81,17 @@ def test_train_writes_model_and_curve(trained_dir):
     assert len(lines) == 4
 
 
+def test_train_reads_mean_row_normalize_from_the_config_file(synth_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text("mean_row_normalize=true\nepochs=1\ntrain_k1=10\ntrain_k2=2\n")
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--config", str(config),
+                       "--features", str(synth_dir / "features.fmat"),
+                       "--labels", str(synth_dir / "labels.lbls"), "--out-dir", str(out))
+    assert code == 0, err
+    assert gcn.load_model(out / "model.gcnm").mean_row_normalized
+
+
 def test_train_missing_labels_exits(synth_dir, tmp_path):
     with pytest.raises(SystemExit, match="--labels"):
         main(["train", "--features", str(synth_dir / "features.fmat"),
@@ -488,6 +499,14 @@ def test_toy2d_csv(tmp_path, capsys):
     rows = trainer.toy2d_trace(fs, ips, steps=4, seed=0)
     assert lines[1:] == [f"{it},{layer},{node},{x:.6f},{y:.6f}"
                          for it, layer, node, x, y in rows]
+
+
+def test_toy2d_one_instance_exits_one_line(tmp_path, capsys):
+    out = tmp_path / "t"
+    code, _, err = run(capsys, "toy2d", "--ids", "1", "--per-id", "1", "--out-dir", str(out))
+    assert code == 1
+    assert err == "error: a subgraph needs at least 2 instances, got N=1\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- baseline

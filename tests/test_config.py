@@ -67,16 +67,26 @@ def test_config_file_values_are_validated(tmp_path):
         make_config(None, {"merge": "bfs", "tau": 1.5})
 
 
-def test_train_config_carries_the_training_fields():
-    cfg = PipelineConfig(aggregator="attention", hidden_dims=[8, 4], attention_hidden=5,
-                         mean_row_normalize=True, train_k1=30, train_k2=4, train_u=6,
-                         hops=3, epochs=2, batch_size=3, lr=0.5, momentum=0.5,
-                         lr_decay=0.25, seed=9, test_k1=7, workers=3)
-    assert cfg.train_config() == TrainConfig(
-        aggregator="attention", hidden_dims=(8, 4), attention_hidden=5,
-        mean_row_normalized=True, ips=IpsConfig(h=3, k_per_hop=(30, 4, 4), u=6),
-        epochs=2, batch_size=3, lr=0.5, momentum=0.5, lr_decay=0.25, seed=9)
-    assert PipelineConfig().train_config() == TrainConfig()
+def test_benchmark_shim_builds_the_pipeline_config():
+    # the benchmark's call: the 256/256/128/64 mean model in the paper's train regime
+    expect = PipelineConfig(epochs=1, batch_size=16, seed=3)
+    assert TrainConfig(aggregator="mean", hidden_dims=(256, 256, 128, 64),
+                       ips=IpsConfig(h=2, k_per_hop=(200, 10), u=10),
+                       epochs=1, batch_size=16, seed=3) == expect
+    # one hop reads no k2, which keeps its default
+    for ips, regime in [(IpsConfig(h=1, k_per_hop=(30,), u=6), dict(train_k1=30, train_u=6)),
+                        (IpsConfig(h=3, k_per_hop=(30, 4, 4), u=6),
+                         dict(train_k1=30, train_k2=4, train_u=6))]:
+        assert TrainConfig(aggregator="attention", hidden_dims=[8, 4], ips=ips,
+                           epochs=2, batch_size=3, seed=9) == PipelineConfig(
+            aggregator="attention", hidden_dims=(8, 4), hops=ips.h, epochs=2, batch_size=3,
+            seed=9, **regime)
+
+
+def test_benchmark_shim_rejects_a_regime_with_two_later_hop_counts():
+    ips = IpsConfig(h=3, k_per_hop=(30, 4, 5), u=6)
+    with pytest.raises(ValueError, match=r"^ips k_per_hop \(30, 4, 5\) is not \(k1, k2, "):
+        TrainConfig(aggregator="mean", hidden_dims=(8,), ips=ips, epochs=1, batch_size=16, seed=0)
 
 
 @pytest.mark.parametrize("fn, names", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ def test_clamp_config_warns():
     with pytest.warns(UserWarning, match="clamped"):
         out = clamp_config(cfg, 150)
     assert out.k_per_hop == (149, 10) and out.u == 10
+
+
+def test_clamp_config_refuses_one_instance():
+    # N - 1 = 0 would clamp every count to zero: one error, and no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^a subgraph needs at least 2 instances, got N=1$"):
+            clamp_config(IpsConfig(h=2, k_per_hop=(8, 2), u=3), 1)
 
 
 @pytest.mark.parametrize("hops, k_per_hop", [

@@ -3,19 +3,18 @@ import pytest
 
 import conftest
 from linkgcn import gcn, knn, trainer
-from linkgcn.config import seed_stream
+from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import IpsConfig, build_block, clamp_config
+from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
 from linkgcn.knn import build_knn
 from linkgcn.merge import bfs_cluster, pool_edges
 from linkgcn.metrics import evaluate
 from linkgcn.pipeline import predict_links
-from linkgcn.trainer import (TrainConfig, _sgd_step, batch_loss_and_grads, subgraph_labels,
-                             toy2d_trace, train)
+from linkgcn.trainer import _sgd_step, batch_loss_and_grads, subgraph_labels, toy2d_trace, train
 from oracle_utils import block_diagonal_batch, masked_loss_and_grads
 
-SMALL = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
-                    ips=IpsConfig(h=2, k_per_hop=(20, 3), u=3))
+SMALL = PipelineConfig(hidden_dims=(16, 16, 8, 8), epochs=4,
+                       train_k1=20, train_k2=3, train_u=3)
 
 
 # -------------------------------------------------------- subgraph_labels
@@ -104,7 +103,8 @@ def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, to
 def train_on_prebuilt(fs, cfg):
     """train's loop over subgraphs built once for every pivot up front,
     stepping in the same shuffled order."""
-    ips_cfg = clamp_config(cfg.ips, fs.n)
+    ips_cfg = clamp_config(regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
+                           fs.n)
     subgraphs = build_block(range(fs.n), fs, build_knn(fs, ips_cfg.table_k), ips_cfg)
     model = gcn.init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator,
                            seed_stream(cfg.seed, "init"))
@@ -127,8 +127,8 @@ def train_on_prebuilt(fs, cfg):
 def test_train_matches_prebuilt_subgraphs(epochs):
     # batch 7 leaves a ragged last batch; three epochs cross both lr decays
     fs = examples_set()
-    cfg = TrainConfig(hidden_dims=(6, 5, 4), epochs=epochs, batch_size=7, seed=2,
-                      ips=IpsConfig(h=2, k_per_hop=(10, 3), u=3))
+    cfg = PipelineConfig(hidden_dims=(6, 5, 4), epochs=epochs, batch_size=7, seed=2,
+                         train_k1=10, train_k2=3, train_u=3)
     model, _ = train(fs, cfg)
     expect = train_on_prebuilt(fs, cfg)
     for p, q in zip(model.parameters(), expect.parameters(), strict=True):
@@ -144,8 +144,8 @@ def one_capped_epoch(n_identities):
     spec = SynthSpec(num_identities=n_identities, samples_per_identity=(10, 10), dim=16,
                      center_spread=1.0, noise_scale=(0.2, 0.4), seed=11)
     fs = normalize_rows(synth_generate(spec))
-    cfg = TrainConfig(hidden_dims=(8, 8, 8, 8), epochs=1,
-                      ips=IpsConfig(h=2, k_per_hop=(200, 10), u=10))
+    cfg = PipelineConfig(hidden_dims=(8, 8, 8, 8), epochs=1,
+                         train_k1=200, train_k2=10, train_u=10)
     return train(fs, cfg)[1]
 
 
@@ -182,8 +182,8 @@ def test_train_requires_two_identities(small_random_set):
 
 
 def test_train_loss_decreases(easy_two_identity_set):
-    cfg = TrainConfig(hidden_dims=(16, 16, 8, 8), epochs=10,
-                      ips=IpsConfig(h=2, k_per_hop=(30, 3), u=3))
+    cfg = PipelineConfig(hidden_dims=(16, 16, 8, 8), epochs=10,
+                         train_k1=30, train_k2=3, train_u=3)
     _, curve = train(easy_two_identity_set, cfg)
     assert len(curve) == 10
     assert curve[-1] < curve[0]
@@ -216,9 +216,9 @@ def test_train_batch_size_changes_curve_not_validity(easy_two_identity_set):
 
 @pytest.mark.parametrize("aggregator", ["mean", "weighted", "attention"])
 def test_train_all_aggregators_learn(easy_two_identity_set, aggregator):
-    cfg = TrainConfig(aggregator=aggregator, hidden_dims=(16, 16, 8, 8),
-                      attention_hidden=8, epochs=8,
-                      ips=IpsConfig(h=2, k_per_hop=(30, 3), u=3))
+    cfg = PipelineConfig(aggregator=aggregator, hidden_dims=(16, 16, 8, 8),
+                         attention_hidden=8, epochs=8,
+                         train_k1=30, train_k2=3, train_u=3)
     model, curve = train(easy_two_identity_set, cfg)
     assert curve[-1] < curve[0]
     assert model.aggregator == aggregator
@@ -226,8 +226,8 @@ def test_train_all_aggregators_learn(easy_two_identity_set, aggregator):
 
 def test_trained_model_separates_easy_set(easy_two_identity_set):
     fs = easy_two_identity_set
-    cfg = TrainConfig(hidden_dims=(32, 32, 16, 8), epochs=15,
-                      ips=IpsConfig(h=2, k_per_hop=(30, 3), u=3))
+    cfg = PipelineConfig(hidden_dims=(32, 32, 16, 8), epochs=15,
+                         train_k1=30, train_k2=3, train_u=3)
     model, _ = train(fs, cfg)
     test_ips = IpsConfig(h=2, k_per_hop=(30, 3), u=3)
     nbrs = build_knn(fs, 30)
@@ -304,7 +304,7 @@ def test_toy2d_deterministic():
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_train_config_rejects_nonpositive(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-        TrainConfig(**{field: 0})
+        PipelineConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -313,7 +313,7 @@ def test_train_config_rejects_bad_model_settings(field, value):
     # checked when the config is made, with PipelineConfig's messages, so a
     # zero-width layer never trains and an unknown aggregator never reaches kNN
     with pytest.raises(ValueError, match=f"^{field} "):
-        TrainConfig(**{field: value})
+        PipelineConfig(**{field: value})
 
 
 def test_train_stops_at_non_finite_loss(easy_two_identity_set, monkeypatch):
