@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, train, cluster, eval, upper-bound, toy2d, baseline.
-Config precedence is defaults < --config file < explicit flags; every
-command is deterministic given its flags and seed.
+Config precedence is defaults < --config file < explicit flags; every command
+is deterministic given its flags, and only synth, train and toy2d take a --seed.
 """
 
 from __future__ import annotations
@@ -53,17 +53,17 @@ def _parse_k_list(text: str) -> list:
     return [int(tok) for tok in tokens]
 
 
-def _clamped_knn(fs: FeatureSet, ks: list):
-    """Each kNN width in ks clamped to N-1, warning once when any is, and the
-    table for the widest. A one-instance collection has no neighbors: its
-    table is empty and no search runs."""
+def _clamped_knn(fs: FeatureSet, ks: list, workers: int):
+    """Each kNN width in ks clamped to N-1, warning once when any is, and the table
+    for the widest, searched on thread_count(workers) threads. A one-instance
+    collection has no neighbors: its table is empty and no search runs."""
     cap = fs.n - 1
     clamped = [min(k, cap) for k in ks]
     if clamped != ks:
         warnings.warn(f"kNN width clamped to N-1={cap}: k {ks} -> {clamped}")
     if cap == 0:
         return clamped, NeighborTable(indices=np.zeros((1, 0)), similarities=np.zeros((1, 0)))
-    return clamped, pipeline.build_knn(fs, max(clamped))
+    return clamped, pipeline.build_knn(fs, max(clamped), workers=workers)
 
 
 def _out_dir(args) -> Path:
@@ -139,8 +139,8 @@ def cmd_eval(args):
 
 def cmd_upper_bound(args):
     ks = _parse_k_list(args.k_list)
-    _, fs = _setup(args, need_labels=True)
-    k_list, nbrs = _clamped_knn(fs, ks)
+    cfg, fs = _setup(args, need_labels=True)
+    k_list, nbrs = _clamped_knn(fs, ks, cfg.workers)
     if fs.n == 1:  # no neighbor to link: one cluster at every k, as baseline and cluster give
         one = metrics.evaluate(fs.labels, np.zeros(1, np.int64), distractors="unique")
         reports = [(k, one) for k in k_list]
@@ -152,6 +152,8 @@ def cmd_upper_bound(args):
 
 
 def cmd_toy2d(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be an integer >= 1, got {args.steps}")
     spec = dataset.SynthSpec(num_identities=args.ids, samples_per_identity=(args.per_id, args.per_id),
                              dim=2, center_spread=1.0, noise_scale=(0.15, 0.15), seed=args.seed)
     fs = dataset.synth_generate(spec)
@@ -171,8 +173,8 @@ def cmd_baseline(args):
     if args.k < 1:
         raise ValueError(f"--k must be an integer >= 1, got {args.k}")
     merge.check_tau_sim(args.tau_sim)
-    _, fs = _setup(args)
-    _, nbrs = _clamped_knn(fs, [args.k])
+    cfg, fs = _setup(args)
+    _, nbrs = _clamped_knn(fs, [args.k], cfg.workers)
     assignment = merge.threshold_baseline(fs, nbrs, args.tau_sim)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "baseline_partition.tsv")
@@ -188,7 +190,6 @@ def _config_overrides(args) -> dict:
 
 def _add_common(sub, features=False, labels=False, out_dir=False):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
     if features:
         sub.add_argument("--features", required=True, help="FMAT feature file")
         sub.add_argument("--no-normalize", dest="normalize", action="store_false", default=None)
@@ -216,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="train the link predictor")
     _add_common(p, features=True, labels=True, out_dir=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--aggregator", choices=gcn.AGGREGATORS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)

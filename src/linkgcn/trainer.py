@@ -83,7 +83,7 @@ def train(fs: FeatureSet, cfg: PipelineConfig):
 
     ips_cfg = clamp_config(regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
                            fs.n)
-    nbrs = build_knn(fs, ips_cfg.table_k)
+    nbrs = build_knn(fs, ips_cfg.table_k, workers=cfg.workers)
 
     rng_init = seed_stream(cfg.seed, "init")
     model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, rng_init,
@@ -118,13 +118,11 @@ def train(fs: FeatureSet, cfg: PipelineConfig):
     return model, curve
 
 
-def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
-                seed: int = 0, lr: float = 0.1):
-    """Train a tiny 2-layer model on one 2-D subgraph and record the 2-D node
-    embeddings after each layer at every iteration.
+def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int, seed: int = 0):
+    """Train a tiny 2-layer model on one 2-D subgraph (SGD at lr 0.1, momentum
+    0.9) and record the 2-D node embeddings after each layer at every iteration.
 
-    Returns a list of (iteration, layer, node, x, y) rows,
-    steps * 2 * |nodes| of them.
+    Returns steps * 2 * |nodes| rows of (iteration, layer, node, x, y).
     """
     if fs.dim != 2:
         raise ValueError(f"toy trace needs 2-D features, got D={fs.dim}")
@@ -146,5 +144,5 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int,
                 rows.append((it, layer, int(ips.nodes[node]), float(Y[node, 0]),
                              float(Y[node, 1])))
         _, grads = loss_and_grads_edges(model, ips.features, ips.edges, hop1_labels)
-        _sgd_step(params, grads, velocities, lr, 0.9)
+        _sgd_step(params, grads, velocities, 0.1, 0.9)
     return rows

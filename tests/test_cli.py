@@ -197,7 +197,8 @@ def test_config_flags_reach_the_config(command, required, monkeypatch):
             tokens, expect[action.dest] = config_flag_value(
                 action, getattr(defaults, action.dest))
             argv += tokens
-    assert {"seed", "normalize"} <= expect.keys()
+    assert "normalize" in expect
+    assert ("seed" in expect) == (command == "train")  # only training draws random numbers
     made = []
 
     def capture(*args):
@@ -207,6 +208,52 @@ def test_config_flags_reach_the_config(command, required, monkeypatch):
     monkeypatch.setattr(cli, "make_config", capture)
     assert main(argv) == 1
     assert {name: getattr(made[0], name) for name in expect} == expect
+
+
+@pytest.mark.parametrize("command, required", [
+    ("cluster", ["--features", "f", "--checkpoint", "m"]),
+    ("baseline", ["--features", "f", "--tau-sim", "0.5"]),
+    ("upper-bound", ["--features", "f", "--labels", "l"])])
+def test_deterministic_commands_reject_seed(command, required, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_only_commands_that_draw_random_numbers_take_seed():
+    takes_seed = {name for name, sub in subcommand_parsers().items()
+                  if any("--seed" in action.option_strings for action in sub._actions)}
+    assert takes_seed == {"synth", "train", "toy2d"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["--labels", "labels.lbls", "--epochs", "1", "--train-k1", "10",
+               "--train-k2", "2", "--train-u", "3"]),
+    ("baseline", ["--tau-sim", "0.8", "--k", "10"]),
+    ("upper-bound", ["--labels", "labels.lbls", "--k-list", "1,8"])])
+@pytest.mark.parametrize("config_text, workers", [(None, 0), ("workers=1\n", 1)],
+                         ids=["no-config", "workers-1"])
+def test_config_workers_reach_the_knn_stage(synth_dir, tmp_path, capsys, monkeypatch,
+                                            command, extra, config_text, workers):
+    seen = []
+
+    def recording_build_knn(fs, k, workers=0):
+        seen.append(workers)
+        return build_knn(fs, k, workers=workers)
+
+    monkeypatch.setattr(trainer, "build_knn", recording_build_knn)
+    monkeypatch.setattr(pipeline, "build_knn", recording_build_knn)
+    argv = [command, "--features", str(synth_dir / "features.fmat")]
+    argv += [str(synth_dir / tok) if tok.endswith(".lbls") else tok for tok in extra]
+    if command != "upper-bound":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if config_text is not None:
+        (tmp_path / "cfg.txt").write_text(config_text)
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert seen == [workers]
 
 
 def test_train_bad_feature_path_returns_one(tmp_path, capsys):
@@ -499,6 +546,20 @@ def test_toy2d_csv(tmp_path, capsys):
     rows = trainer.toy2d_trace(fs, ips, steps=4, seed=0)
     assert lines[1:] == [f"{it},{layer},{node},{x:.6f},{y:.6f}"
                          for it, layer, node, x, y in rows]
+
+
+@pytest.mark.parametrize("steps", ["-3", "0"])
+def test_toy2d_bad_steps_fail_before_the_draw(tmp_path, capsys, monkeypatch, steps):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a bad --steps reached the synth draw")
+
+    monkeypatch.setattr(dataset, "synth_generate", no_draw)
+    out = tmp_path / "t"
+    code, stdout, err = run(capsys, "toy2d", "--steps", steps, "--out-dir", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --steps must be an integer >= 1, got {steps}\n"
+    assert not out.exists()
 
 
 def test_toy2d_one_instance_exits_one_line(tmp_path, capsys):
