@@ -19,8 +19,7 @@ import numpy as np
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
 from linkgcn.config import PipelineConfig, make_config
 from linkgcn.dataset import FeatureSet
-from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
-from linkgcn.knn import NeighborTable
+from linkgcn.ips import IpsConfig, build_block, regime_config
 
 
 def _parse_range(text: str, label: str, cast=int):
@@ -51,19 +50,6 @@ def _parse_k_list(text: str) -> list:
     if not all(tok.strip().isdecimal() and int(tok) >= 1 for tok in tokens):
         raise ValueError(f"--k-list must be comma-separated integers >= 1, got {text!r}")
     return [int(tok) for tok in tokens]
-
-
-def _clamped_knn(fs: FeatureSet, ks: list, workers: int):
-    """Each kNN width in ks clamped to N-1, warning once when any is, and the table
-    for the widest, searched on thread_count(workers) threads. A one-instance
-    collection has no neighbors: its table is empty and no search runs."""
-    cap = fs.n - 1
-    clamped = [min(k, cap) for k in ks]
-    if clamped != ks:
-        warnings.warn(f"kNN width clamped to N-1={cap}: k {ks} -> {clamped}")
-    if cap == 0:
-        return clamped, NeighborTable(indices=np.zeros((1, 0)), similarities=np.zeros((1, 0)))
-    return clamped, pipeline.build_knn(fs, max(clamped), workers=workers)
 
 
 def _out_dir(args) -> Path:
@@ -140,14 +126,9 @@ def cmd_eval(args):
 def cmd_upper_bound(args):
     ks = _parse_k_list(args.k_list)
     cfg, fs = _setup(args, need_labels=True)
-    k_list, nbrs = _clamped_knn(fs, ks, cfg.workers)
-    if fs.n == 1:  # no neighbor to link: one cluster at every k, as baseline and cluster give
-        one = metrics.evaluate(fs.labels, np.zeros(1, np.int64), distractors="unique")
-        reports = [(k, one) for k in k_list]
-    else:
-        reports = metrics.knn_upper_bound(fs, nbrs, k_list)
+    nbrs = pipeline.build_knn(fs, max(ks), workers=cfg.workers)
     print("k\tF\tNMI")
-    for k, report in reports:
+    for k, report in metrics.knn_upper_bound(fs, nbrs, ks):
         print(f"{k}\t{report.bcubed_f:.4f}\t{report.nmi:.4f}")
 
 
@@ -157,7 +138,7 @@ def cmd_toy2d(args):
     spec = dataset.SynthSpec(num_identities=args.ids, samples_per_identity=(args.per_id, args.per_id),
                              dim=2, center_spread=1.0, noise_scale=(0.15, 0.15), seed=args.seed)
     fs = dataset.synth_generate(spec)
-    cfg = clamp_config(IpsConfig(h=2, k_per_hop=(args.k1, 2), u=3), fs.n)
+    cfg = IpsConfig(h=2, k_per_hop=(args.k1, 2), u=3)
     nbrs = pipeline.build_knn(fs, cfg.table_k)
     ips = build_block([0], fs, nbrs, cfg)[0]
     rows = trainer.toy2d_trace(fs, ips, steps=args.steps, seed=args.seed)
@@ -174,7 +155,7 @@ def cmd_baseline(args):
         raise ValueError(f"--k must be an integer >= 1, got {args.k}")
     merge.check_tau_sim(args.tau_sim)
     cfg, fs = _setup(args)
-    _, nbrs = _clamped_knn(fs, [args.k], cfg.workers)
+    nbrs = pipeline.build_knn(fs, args.k, workers=cfg.workers)
     assignment = merge.threshold_baseline(fs, nbrs, args.tau_sim)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "baseline_partition.tsv")

@@ -42,6 +42,8 @@ class GcnModel:
         if self.aggregator == "attention" and (
                 self.attention_mlp is None or len(self.attention_mlp) != len(self.layer_weights)):
             raise ValueError("attention aggregator needs one MLP per layer")
+        if self.aggregator != "attention" and self.attention_mlp is not None:
+            raise ValueError(f"{self.aggregator} aggregator takes no attention MLP")
         for arr in self.parameters():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model parameter")

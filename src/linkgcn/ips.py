@@ -10,7 +10,6 @@ only on request.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,22 +48,6 @@ def regime_config(k1: int, k2: int, u: int, hops: int) -> IpsConfig:
     return IpsConfig(h=hops, k_per_hop=(k1,) + (k2,) * (hops - 1), u=u)
 
 
-def clamp_config(cfg: IpsConfig, n: int) -> IpsConfig:
-    """Clamp per-hop neighbor counts and u to N-1 so large regimes still run
-    on small collections. Warns when clamping happens; ValueError below
-    N = 2, where a pivot has no neighbor."""
-    if n < 2:
-        raise ValueError(f"a subgraph needs at least 2 instances, got N={n}")
-    cap = n - 1
-    ks = tuple(min(k, cap) for k in cfg.k_per_hop)
-    u = min(cfg.u, cap)
-    if ks != cfg.k_per_hop or u != cfg.u:
-        warnings.warn(f"subgraph config clamped to N-1={cap}: "
-                      f"k_per_hop {cfg.k_per_hop} -> {ks}, u {cfg.u} -> {u}")
-        return IpsConfig(h=cfg.h, k_per_hop=ks, u=u)
-    return cfg
-
-
 # Candidate ids one block of pivots may hold: 16 pivots of the test regime's
 # largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each). On
 # perfbench's cluster_test input (D = 64) a 16-pivot block held at most
@@ -92,8 +75,9 @@ class InstancePivotSubgraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 float32 adjacency with a zero diagonal. Nothing in
-        the package reads it; it stays for perfbench's subgraph counters."""
+        """Dense symmetric 0/1 float32 adjacency with a zero diagonal. The package
+        reads only `edges`; this is the tests' dense reference and perfbench's
+        subgraph counters."""
         adj = np.zeros((self.size, self.size), dtype=np.float32)
         adj[self.edges[0], self.edges[1]] = 1.0
         return adj
@@ -119,16 +103,14 @@ def _discover(pivots: np.ndarray, nbrs: NeighborTable, cfg: IpsConfig):
     grouped by owner (the pivot's position in `pivots`). Within an owner the
     order is the one-pivot walk's: hop by hop, each hop taking the frontier's
     neighbor lists in frontier order and keeping first sightings. Owners are
-    int64, so every owner * N + id key is; node ids are the table's int32."""
-    for t, k in enumerate(cfg.k_per_hop, 1):
-        if k > nbrs.k:
-            raise ValueError(f"k_per_hop[{t - 1}]={k} exceeds neighbor table k={nbrs.k}")
-    n = nbrs.indices.shape[0]
+    int64, so every owner * N + id key is; node ids are the table's int32.
+    Each hop reads nbrs.width(k) neighbors."""
+    n = nbrs.n
     owner = np.arange(pivots.size, dtype=np.int64)
     ids = pivots
     seen = owner * n + ids
     found = []
-    for t, k in enumerate(cfg.k_per_hop, 1):
+    for t, k in enumerate(map(nbrs.width, cfg.k_per_hop), 1):
         # owner-major, since the frontier is; each owner's part in walk order
         cand = nbrs.indices[ids, :k].ravel()
         cand_owner = np.repeat(owner, k)
@@ -148,12 +130,11 @@ def _wire(owner: np.ndarray, nodes: np.ndarray, nbrs: NeighborTable, u: int):
     neighbors in the whole collection and both are nodes of the same
     subgraph; symmetrized. Neighbor lists exclude their own row, so there
     are no self loops. Returns (rows, cols) positions in `nodes`, both
-    directions of each edge, sorted row-major."""
-    if u > nbrs.k:
-        raise ValueError(f"u={u} exceeds neighbor table k={nbrs.k}")
-    n, total = nbrs.indices.shape[0], nodes.size
+    directions of each edge, sorted row-major. q's neighbors are the first
+    nbrs.width(u) of its row."""
+    n, total = nbrs.n, nodes.size
     keys = owner * n + nodes
-    cand = (owner * n)[:, None] + nbrs.indices[nodes, :u]
+    cand = (owner * n)[:, None] + nbrs.indices[nodes, :nbrs.width(u)]
     sorter = np.argsort(keys)
     # position of each candidate among the block's nodes; misses fail the check below
     p = sorter[np.minimum(np.searchsorted(keys[sorter], cand), total - 1)]
@@ -177,7 +158,10 @@ def normalize_node_features(fs: FeatureSet, pivot, nodes: np.ndarray) -> np.ndar
 
 def build_block(pivots, fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> list:
     """The subgraphs of a block of distinct pivots, in pivot order: discovery,
-    pivot normalization and edges, each done once for the whole block."""
+    pivot normalization and edges, each done once for the whole block.
+    ValueError on one instance, where a pivot has no neighbor."""
+    if nbrs.n < 2:
+        raise ValueError(f"a subgraph needs at least 2 instances, got N={nbrs.n}")
     pivots = np.asarray(pivots, dtype=np.int64)
     owner, nodes, hops = _discover(pivots, nbrs, cfg)
     feats = normalize_node_features(fs, pivots[owner], nodes)

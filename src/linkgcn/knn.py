@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,6 +46,13 @@ class NeighborTable:
     @property
     def k(self) -> int:
         return self.indices.shape[1]
+
+    def width(self, k: int) -> int:
+        """Columns a reader of k neighbors per instance takes: min(k, N-1), as no
+        instance has more. ValueError when the table is narrower than that."""
+        if min(k, self.n - 1) > self.k:
+            raise ValueError(f"k={k} exceeds neighbor table k={self.k}")
+        return min(k, self.n - 1)
 
 
 # The variables OpenBLAS reads its thread count from at start-up, first match wins.
@@ -92,12 +100,19 @@ def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:
     spread over thread_count(workers) threads, each computing a block's
     similarities and its top-k in one block of block_rows(N) rows: 128 up to
     N = 16,384, ~16 MiB beyond. Worker-count invariant.
+
+    No instance has more than N-1 neighbors, so a k >= N is clamped to N-1
+    with one warning, and every reader takes NeighborTable.width(k) columns.
+    One instance has none: its table is (1, 0), and no search runs.
     """
     threads = thread_count(workers)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if fs.n == 1:
+        return NeighborTable(indices=np.empty((1, 0)), similarities=np.empty((1, 0)))
     if k >= fs.n:
-        raise ValueError(f"k={k} must be < N={fs.n}")
+        warnings.warn(f"kNN width clamped to N-1={fs.n - 1}: k {k} -> {fs.n - 1}")
+        k = fs.n - 1
     unit = fs.features.astype(np.float64)
     norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):

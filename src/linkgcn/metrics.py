@@ -116,8 +116,8 @@ def evaluate(truth: np.ndarray, pred: np.ndarray,
 def knn_upper_bound(fs: FeatureSet, nbrs: NeighborTable, k_list) -> list:
     """Clustering score when every same-identity kNN pair is linked.
 
-    Returns [(k, EvalReport)] for each requested k. The linked edge set
-    grows with k, so F is non-decreasing.
+    Returns [(nbrs.width(k), EvalReport)] for each requested k. The linked
+    edge set grows with k, so F is non-decreasing.
     """
     if fs.labels is None:
         raise ValueError("upper bound needs identity labels")
@@ -126,8 +126,7 @@ def knn_upper_bound(fs: FeatureSet, nbrs: NeighborTable, k_list) -> list:
     for k in k_list:
         if k < 1:
             raise ValueError(f"k={k} must be >= 1")
-        if k > nbrs.k:
-            raise ValueError(f"k={k} exceeds neighbor table k={nbrs.k}")
+        k = nbrs.width(k)
         indices = nbrs.indices[:, :k]
 
         def same_identity(lo, hi):
@@ -135,5 +134,5 @@ def knn_upper_bound(fs: FeatureSet, nbrs: NeighborTable, k_list) -> list:
             return (own == labels[indices[lo:hi]]) & (own >= 0)
 
         pred = table_components(fs.n, indices, same_identity)
-        out.append((int(k), evaluate(labels, pred, distractors="unique")))
+        out.append((k, evaluate(labels, pred, distractors="unique")))
     return out

@@ -11,7 +11,7 @@ import numpy as np
 from linkgcn.config import PipelineConfig
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
-from linkgcn.ips import IpsConfig, build_block, clamp_config, pivot_blocks
+from linkgcn.ips import IpsConfig, build_block, pivot_blocks
 from linkgcn.knn import NeighborTable, build_knn, run_threads, thread_count
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, check_merge, pool_edges, propagate_cluster
 
@@ -38,22 +38,22 @@ def _check_width(fs: FeatureSet, model: GcnModel) -> None:
 
 def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
                   ips_cfg: IpsConfig, workers: int = 0) -> WeightedEdgeSet:
-    """Score every pivot's link to each of its k1 nearest neighbors into an
-    (N, k1) likelihood table, row p for pivot p, and pool it into one edge
-    set. A pivot's 1-hop nodes are the first k1 ids of its kNN row, in order,
-    since a row holds neither self nor duplicates. Each of thread_count(workers)
-    threads writes the rows of its blocks of pivots; worker-count invariant."""
+    """Score every pivot's link to each of its nbrs.width(k1) nearest
+    neighbors into an (N, width) likelihood table, row p for pivot p, and pool
+    it into one edge set. A pivot's 1-hop nodes are the first width ids of its
+    kNN row, in order, since a row holds neither self nor duplicates. Each of
+    thread_count(workers) threads writes the rows of its blocks of pivots;
+    worker-count invariant. An empty table, of one instance, scores nothing."""
     threads = thread_count(workers)
     _check_width(fs, model)
-    ips_cfg = clamp_config(ips_cfg, fs.n)
-    probs = np.empty((fs.n, ips_cfg.k_per_hop[0]), dtype=model.dtype)
+    probs = np.empty((fs.n, nbrs.width(ips_cfg.k_per_hop[0])), dtype=model.dtype)
 
     def run_block(pivots):
         with np.errstate(all="ignore"):  # per thread; pool_edges rejects non-finite rows
             for ips in build_block(pivots, fs, nbrs, ips_cfg):
                 probs[ips.pivot] = forward(model, ips)
 
-    run_threads(run_block, pivot_blocks(fs.n, ips_cfg), threads)
+    run_threads(run_block, pivot_blocks(fs.n, ips_cfg) if probs.size else [], threads)
     return pool_edges(nbrs.indices[:, :probs.shape[1]], probs)
 
 
@@ -65,23 +65,19 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     threads select the kNN top-k and score the pivots; 0 derives the count
     from the cores the BLAS pool leaves idle (knn.thread_count).
 
-    A one-instance collection has no neighbor to link: it builds no kNN
-    table, scores no pivot, and merges an empty edge set into one cluster.
-    Every merge setting is checked before any work."""
+    The kNN table is ips_cfg.table_k wide, clamped to N-1 with one warning
+    by build_knn. A one-instance collection has no neighbor to link: its
+    table is empty, no pivot is scored, and an empty edge set merges into
+    one cluster. Every merge setting is checked before any work."""
     check_merge(merge, tau=tau, tau0=tau0, dtau=dtau, max_size=max_size)
     workers = thread_count(workers)
     _check_width(fs, model)
     t0 = time.perf_counter()
-    if fs.n == 1:
-        edges = pool_edges(np.empty((1, 0), np.int32), np.empty((1, 0), np.float32))
-        t1 = t2 = time.perf_counter()
-    else:
-        ips_cfg = clamp_config(ips_cfg, fs.n)  # once, so one warning covers both stages
-        nbrs = build_knn(fs, ips_cfg.table_k, workers=workers)
-        t1 = time.perf_counter()
-        edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
-        del nbrs  # merging reads only the edges
-        t2 = time.perf_counter()
+    nbrs = build_knn(fs, ips_cfg.table_k, workers=workers)
+    t1 = time.perf_counter()
+    edges = predict_links(fs, nbrs, model, ips_cfg, workers=workers)
+    del nbrs  # merging reads only the edges
+    t2 = time.perf_counter()
     if merge == "propagate":
         assignment = propagate_cluster(edges, fs.n, tau0=tau0, dtau=dtau,
                                        max_size=max_size)

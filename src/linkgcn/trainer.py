@@ -9,8 +9,7 @@ import numpy as np
 from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, init_model, loss_and_grads_edges, _forward_edges
-from linkgcn.ips import (IpsConfig, InstancePivotSubgraph, build_block, clamp_config,
-                         regime_config)
+from linkgcn.ips import IpsConfig, InstancePivotSubgraph, build_block, regime_config
 from linkgcn.knn import build_knn
 
 # fractions of the epochs after which the learning rate is multiplied by lr_decay
@@ -81,8 +80,7 @@ def train(fs: FeatureSet, cfg: PipelineConfig):
     if identities.size < 2:
         raise ValueError(f"training needs >= 2 identities, got {identities.size}")
 
-    ips_cfg = clamp_config(regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
-                           fs.n)
+    ips_cfg = regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops)
     nbrs = build_knn(fs, ips_cfg.table_k, workers=cfg.workers)
 
     rng_init = seed_stream(cfg.seed, "init")

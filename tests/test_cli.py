@@ -160,8 +160,7 @@ def test_train_clamp_is_one_warning_line(synth_dir, tmp_path, capsys):
                        "--labels", str(synth_dir / "labels.lbls"), "--epochs", "1",
                        "--out-dir", str(tmp_path / "x"))
     assert code == 0, err
-    assert err == ("warning: subgraph config clamped to N-1=39: "
-                   "k_per_hop (200, 10) -> (39, 10), u 10 -> 10\n")
+    assert err == "warning: kNN width clamped to N-1=39: k 200 -> 39\n"
 
 
 def subcommand_parsers():
@@ -300,8 +299,7 @@ def test_cluster_clamp_is_one_warning_line(synth_dir, trained_dir, tmp_path, cap
                        "--checkpoint", str(trained_dir / "model.gcnm"),
                        "--out-dir", str(tmp_path / "c"))
     assert code == 0, err
-    assert err == ("warning: subgraph config clamped to N-1=39: "
-                   "k_per_hop (80, 5) -> (39, 5), u 5 -> 5\n")
+    assert err == "warning: kNN width clamped to N-1=39: k 80 -> 39\n"
 
 
 def test_cluster_bfs_merge_mode(synth_dir, trained_dir, tmp_path, capsys):
@@ -345,6 +343,7 @@ def test_cluster_one_instance(synth_dir, trained_dir, tmp_path, capsys):
                             "--checkpoint", str(trained_dir / "model.gcnm"),
                             "--out-dir", str(out))
     assert code == 0, err
+    assert err == ""
     assert "clusters=1" in stdout
     assert (out / "partition.tsv").read_text() == "0\t0\n"
     assert (out / "edges.tsv").read_text() == ""
@@ -363,8 +362,7 @@ def test_cluster_non_finite_likelihoods_exit_one_line(tmp_path, capsys):
     code, _, err = run(capsys, "cluster", "--features", str(big), "--checkpoint", str(model),
                        "--no-normalize", "--out-dir", str(out))
     assert code == 1
-    assert err == ("warning: subgraph config clamped to N-1=29: "
-                   "k_per_hop (80, 5) -> (29, 5), u 5 -> 5\n"
+    assert err == ("warning: kNN width clamped to N-1=29: k 80 -> 29\n"
                    "error: pivot 0 has a non-finite link likelihood\n")
     assert not out.exists()
 
@@ -488,7 +486,7 @@ def test_upper_bound_clamps_k_list(synth_dir, capsys):
                             "--labels", str(synth_dir / "labels.lbls"),
                             "--k-list", "1,64")
     assert code == 0, err
-    assert err == "warning: kNN width clamped to N-1=39: k [1, 64] -> [1, 39]\n"
+    assert err == "warning: kNN width clamped to N-1=39: k 64 -> 39\n"
     lines = stdout.strip().splitlines()
     assert lines[0] == "k\tF\tNMI"
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "39"]
@@ -498,7 +496,7 @@ def test_upper_bound_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a one-instance collection reached the kNN search")
 
-    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    monkeypatch.setattr(knn, "topk_cosine", no_work)
     one = tmp_path / "one"
     fs = dataset.load_features(synth_dir / "features.fmat")
     dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one.with_suffix(".fmat"))
@@ -507,7 +505,7 @@ def test_upper_bound_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     code, stdout, err = run(capsys, "upper-bound", "--features", str(one.with_suffix(".fmat")),
                             "--labels", str(one.with_suffix(".lbls")), "--k-list", "1,4")
     assert code == 0, err
-    assert err == "warning: kNN width clamped to N-1=0: k [1, 4] -> [0, 0]\n"
+    assert err == ""
     # the one-cluster partition of one instance scores F = NMI = 1 at every k
     assert stdout.splitlines() == ["k\tF\tNMI", "0\t1.0000\t1.0000", "0\t1.0000\t1.0000"]
 
@@ -579,7 +577,7 @@ def test_baseline_partition(synth_dir, tmp_path, capsys):
                             "--features", str(synth_dir / "features.fmat"),
                             "--tau-sim", "0.8", "--out-dir", str(out))
     assert code == 0, err
-    assert err == "warning: kNN width clamped to N-1=39: k [80] -> [39]\n"
+    assert err == "warning: kNN width clamped to N-1=39: k 80 -> 39\n"
     assert merge.load_partition(out / "baseline_partition.tsv").shape == (40,)
 
 
@@ -587,7 +585,7 @@ def test_baseline_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a one-instance collection reached the kNN search")
 
-    monkeypatch.setattr(pipeline, "build_knn", no_work)
+    monkeypatch.setattr(knn, "topk_cosine", no_work)
     one = tmp_path / "one.fmat"
     fs = dataset.load_features(synth_dir / "features.fmat")
     dataset.save_features(dataset.FeatureSet(features=fs.features[:1]), one)
@@ -595,7 +593,7 @@ def test_baseline_one_instance(synth_dir, tmp_path, capsys, monkeypatch):
     code, stdout, err = run(capsys, "baseline", "--features", str(one),
                             "--tau-sim", "0.8", "--out-dir", str(out))
     assert code == 0, err
-    assert err == "warning: kNN width clamped to N-1=0: k [80] -> [0]\n"
+    assert err == ""
     assert "clusters=1" in stdout
     assert (out / "baseline_partition.tsv").read_text() == "0\t0\n"
 

@@ -489,3 +489,14 @@ def test_model_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         gcn.GcnModel(aggregator="mean", layer_weights=model.layer_weights,
                      head_weight=model.head_weight, head_bias=model.head_bias)
+
+
+@pytest.mark.parametrize("aggregator", ["mean", "weighted"])
+def test_model_rejects_attention_mlp_without_attention(aggregator):
+    # a weighted model would otherwise score with the MLPs, save a file that
+    # load_model rejects, and a mean model would fail in the backward pass
+    attn = init_model([4, 3, 3], "attention", seed_stream(0, "init"), attention_hidden=2)
+    with pytest.raises(ValueError, match=f"^{aggregator} aggregator takes no attention MLP$"):
+        _model_with(attn, aggregator=aggregator)
+    plain = _model_with(attn, aggregator=aggregator, attention_mlp=None)
+    assert len(plain.parameters()) == 2 + 2

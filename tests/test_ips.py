@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import (IpsConfig, _wire, build_block, clamp_config, normalize_node_features,
-                         pivot_blocks, regime_config)
+from linkgcn.ips import (IpsConfig, _wire, build_block, normalize_node_features, pivot_blocks,
+                         regime_config)
 from linkgcn.knn import build_knn
 from oracle_utils import discover_nodes_loop, subgraph_adjacency_oracle
 
@@ -50,19 +50,26 @@ def test_config_validation():
         IpsConfig(h=1, k_per_hop=(0,), u=1)
 
 
-def test_clamp_config_warns():
+def test_oversize_regime_is_one_knn_warning(small_random_set):
+    # N = 50: the table is clamped to N - 1 once, and subgraphs built on it
+    # warn no more; every pivot's 1-hop nodes are the N - 1 others
+    fs = small_random_set
     cfg = IpsConfig(h=2, k_per_hop=(200, 10), u=10)
-    with pytest.warns(UserWarning, match="clamped"):
-        out = clamp_config(cfg, 150)
-    assert out.k_per_hop == (149, 10) and out.u == 10
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        subgraphs = build_block(range(fs.n), fs, build_knn(fs, cfg.table_k), cfg)
+    assert [str(w.message) for w in caught] == ["kNN width clamped to N-1=49: k 200 -> 49"]
+    assert [ips.hop1_count for ips in subgraphs] == [fs.n - 1] * fs.n
 
 
-def test_clamp_config_refuses_one_instance():
-    # N - 1 = 0 would clamp every count to zero: one error, and no warning first
+def test_build_block_refuses_one_instance():
+    # one instance has no neighbor: an empty table without a warning, then one error
+    fs = FeatureSet(features=np.ones((1, 4), np.float32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        nbrs = build_knn(fs, 8)
         with pytest.raises(ValueError, match="^a subgraph needs at least 2 instances, got N=1$"):
-            clamp_config(IpsConfig(h=2, k_per_hop=(8, 2), u=3), 1)
+            build_block([0], fs, nbrs, IpsConfig(h=2, k_per_hop=(8, 2), u=3))
 
 
 @pytest.mark.parametrize("hops, k_per_hop", [
@@ -190,7 +197,7 @@ def test_add_edges_rank_oracle():
 
 def test_add_edges_u_exceeds_table(small_random_set):
     nbrs = build_knn(small_random_set, 4)
-    with pytest.raises(ValueError, match="u="):
+    with pytest.raises(ValueError, match="exceeds"):
         wire(np.array([0, 1]), nbrs, 5)
 
 
@@ -243,9 +250,10 @@ def test_build_ips_min_hop_recorded(synth_1k_set, synth_1k_nbrs):
 def assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg):
     """Each subgraph equals the one-pivot loop's nodes and hops and the
     per-subgraph kernel's adjacency, exactly. Its 1-hop nodes are the pivot's
-    first k1 kNN ids in table order, which pipeline.predict_links relies on."""
+    first k1 kNN ids in table order, which pipeline.predict_links relies on;
+    no more than N - 1, as no instance has more neighbors."""
     assert [ips.pivot for ips in subgraphs] == list(pivots)
-    k1 = cfg.k_per_hop[0]
+    k1 = min(cfg.k_per_hop[0], fs.n - 1)
     for pivot, ips in zip(pivots, subgraphs):
         assert ips.hop1_count == k1
         np.testing.assert_array_equal(ips.nodes[:k1], nbrs.indices[pivot, :k1])
@@ -276,14 +284,19 @@ def test_blocks_match_loop_oracles_train_regime():
                      center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
     fs = normalize_rows(synth_generate(spec))
     nbrs = build_knn(fs, fs.n - 1)
-    with pytest.warns(UserWarning, match="clamped"):
-        clamped = clamp_config(IpsConfig(h=2, k_per_hop=(300, 10), u=10), fs.n)
-    assert clamped.k_per_hop == (fs.n - 1, 10)
-    for cfg in (IpsConfig(h=2, k_per_hop=(200, 10), u=10), clamped):
+    oversize, full = (IpsConfig(h=2, k_per_hop=(k1, 10), u=10) for k1 in (300, fs.n - 1))
+    assert pivot_blocks(fs.n, oversize) == pivot_blocks(fs.n, full)
+    for cfg in (IpsConfig(h=2, k_per_hop=(200, 10), u=10), full, oversize):
         blocks = pivot_blocks(fs.n, cfg)
         assert 0 < len(blocks[-1]) < len(blocks[0])
         for pivots in blocks:
-            assert_match_oracles(build_block(pivots, fs, nbrs, cfg), pivots, fs, nbrs, cfg)
+            subgraphs = build_block(pivots, fs, nbrs, cfg)
+            assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg)
+            if cfg is oversize:  # the (300, 10) regime reads the N - 1 columns there are
+                for a, b in zip(subgraphs, build_block(pivots, fs, nbrs, full), strict=True):
+                    np.testing.assert_array_equal(a.nodes, b.nodes)
+                    np.testing.assert_array_equal(a.hop_of, b.hop_of)
+                    np.testing.assert_array_equal(a.edges, b.edges)
 
 
 @pytest.mark.parametrize("size", [1, 7, 64])

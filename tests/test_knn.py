@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,8 +60,39 @@ def test_build_knn_rows_sorted(small_random_set):
 
 
 def test_build_knn_k_too_large(small_random_set):
-    with pytest.raises(ValueError, match="k="):
-        build_knn(small_random_set, small_random_set.n)
+    # no instance has more than N - 1 neighbors: one warning, then the N - 1 table
+    n = small_random_set.n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = build_knn(small_random_set, n)
+    assert [str(w.message) for w in caught] == [
+        f"kNN width clamped to N-1={n - 1}: k {n} -> {n - 1}"]
+    full = build_knn(small_random_set, n - 1)
+    assert table.indices.tobytes() == full.indices.tobytes()
+    assert table.similarities.tobytes() == full.similarities.tobytes()
+
+
+def test_build_knn_one_instance_is_empty(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a one-instance collection reached the kNN search")
+
+    monkeypatch.setattr(knn, "topk_cosine", no_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_knn(FeatureSet(features=np.zeros((1, 4), np.float32)), 80)
+    assert table.indices.shape == table.similarities.shape == (1, 0)
+    assert table.width(80) == 0
+
+
+def test_neighbor_table_width(small_random_set):
+    n = small_random_set.n
+    table = build_knn(small_random_set, 5)
+    assert [table.width(k) for k in (1, 4, 5)] == [1, 4, 5]
+    with pytest.raises(ValueError, match="^k=6 exceeds neighbor table k=5$"):
+        table.width(6)
+    full = build_knn(small_random_set, n - 1)
+    # the full table serves any k: no instance has more than N - 1 neighbors
+    assert [full.width(k) for k in (1, n - 1, n, 10 * n)] == [1, n - 1, n - 1, n - 1]
 
 
 def test_build_knn_deterministic(small_random_set):

@@ -258,11 +258,14 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
     def no_work(*args, **kwargs):
         raise AssertionError("a one-instance collection reached kNN or link scoring")
 
-    monkeypatch.setattr(pipeline, "build_knn", no_work)
-    monkeypatch.setattr(pipeline, "predict_links", no_work)
+    monkeypatch.setattr(knn, "topk_cosine", no_work)
+    monkeypatch.setattr(pipeline, "build_block", no_work)
+    monkeypatch.setattr(pipeline, "forward", no_work)
     model = init_model([4, 8], "mean", seed_stream(0, "init"))
     fs = FeatureSet(features=np.ones((1, 4), np.float32))
-    assignment, edges, timing = pipeline.cluster(fs, model, IPS, merge=merge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assignment, edges, timing = pipeline.cluster(fs, model, IPS, merge=merge)
     np.testing.assert_array_equal(assignment, [0])
     assert len(edges) == 0
     assert isinstance(timing, pipeline.TimingReport)
@@ -286,16 +289,15 @@ def test_cluster_bad_merge_settings_fail_before_knn(monkeypatch, setting, value)
 
 
 def test_cluster_clamp_is_one_warning():
-    # N = 60 clamps the test regime's k1 = 80 for the kNN table and the
-    # scoring alike; the one clamped config serves both
+    # N = 60 clamps the test regime's k1 = 80 for the kNN table, and the
+    # scoring reads the clamped table without a second warning
     fs = normalize_rows(synth_generate(SynthSpec(num_identities=6, samples_per_identity=(10, 10),
                                                  dim=16, seed=3)))
     model = init_model([16, 8], "mean", seed_stream(0, "init"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pipeline.cluster(fs, model, IPS)
-    assert [str(w.message) for w in caught] == [
-        "subgraph config clamped to N-1=59: k_per_hop (80, 5) -> (59, 5), u 5 -> 5"]
+    assert [str(w.message) for w in caught] == ["kNN width clamped to N-1=59: k 80 -> 59"]
 
 
 def test_negative_workers_are_rejected(synth_1k_set, synth_1k_nbrs, scored):

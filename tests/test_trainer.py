@@ -5,7 +5,7 @@ import conftest
 from linkgcn import gcn, knn, trainer
 from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import IpsConfig, build_block, clamp_config, regime_config
+from linkgcn.ips import IpsConfig, build_block, regime_config
 from linkgcn.knn import build_knn
 from linkgcn.merge import bfs_cluster, pool_edges
 from linkgcn.metrics import evaluate
@@ -103,8 +103,7 @@ def test_step_matches_block_diagonal_batch(aggregator, row_normalized, dtype, to
 def train_on_prebuilt(fs, cfg):
     """train's loop over subgraphs built once for every pivot up front,
     stepping in the same shuffled order."""
-    ips_cfg = clamp_config(regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops),
-                           fs.n)
+    ips_cfg = regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops)
     subgraphs = build_block(range(fs.n), fs, build_knn(fs, ips_cfg.table_k), ips_cfg)
     model = gcn.init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator,
                            seed_stream(cfg.seed, "init"))
