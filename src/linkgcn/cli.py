@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from linkgcn import dataset, gcn, merge, metrics, pipeline, trainer
-from linkgcn.config import PipelineConfig, make_config
+from linkgcn.config import PipelineConfig, load_config_file, make_config
 from linkgcn.dataset import FeatureSet
 from linkgcn.ips import IpsConfig, build_block, regime_config
 
@@ -36,6 +36,10 @@ def _setup(args, need_labels=False):
     """The run's config and its feature set, with --labels attached and rows
     normalized unless the config turns that off."""
     cfg = make_config(args.config, _config_overrides(args))
+    unread = [key for key in (load_config_file(args.config) if args.config else ())
+              if key not in CONFIG_KEYS_READ[args.command]]
+    if unread:
+        warnings.warn(f"{args.command} does not read config keys: {', '.join(unread)}")
     fs = dataset.load_features(args.features)
     if getattr(args, "labels", None):
         fs = FeatureSet(features=fs.features, labels=dataset.load_labels(args.labels))
@@ -133,8 +137,9 @@ def cmd_upper_bound(args):
 
 
 def cmd_toy2d(args):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be an integer >= 1, got {args.steps}")
+    for flag, value in (("--steps", args.steps), ("--k1", args.k1)):
+        if value < 1:
+            raise ValueError(f"{flag} must be an integer >= 1, got {value}")
     spec = dataset.SynthSpec(num_identities=args.ids, samples_per_identity=(args.per_id, args.per_id),
                              dim=2, center_spread=1.0, noise_scale=(0.15, 0.15), seed=args.seed)
     fs = dataset.synth_generate(spec)
@@ -161,6 +166,15 @@ def cmd_baseline(args):
     merge.save_partition(assignment, out / "baseline_partition.tsv")
     print(f"clusters={int(assignment.max()) + 1}")
     print(f"wrote {out / 'baseline_partition.tsv'}")
+
+
+# The PipelineConfig fields each command that takes --config reads.
+CONFIG_KEYS_READ = {
+    "train": ("aggregator hidden_dims attention_hidden epochs batch_size lr momentum lr_decay "
+              "seed train_k1 train_k2 train_u hops mean_row_normalize normalize workers").split(),
+    "cluster": "test_k1 test_k2 test_u hops merge tau tau0 dtau max_size normalize workers".split(),
+    "baseline": ["normalize", "workers"], "upper-bound": ["normalize", "workers"],
+}
 
 
 def _config_overrides(args) -> dict:

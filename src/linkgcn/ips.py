@@ -48,12 +48,11 @@ def regime_config(k1: int, k2: int, u: int, hops: int) -> IpsConfig:
     return IpsConfig(h=hops, k_per_hop=(k1,) + (k2,) * (hops - 1), u=u)
 
 
-# Candidate ids one block of pivots may hold: 16 pivots of the test regime's
-# largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each). On
-# perfbench's cluster_test input (D = 64) a 16-pivot block held at most
-# 1.3 MiB of subgraphs and peaked at 2.2 MiB while it was built (tracemalloc);
-# 64 pivots held 4.8 MiB and peaked at 8.0 MiB, for no speed gain.
-BLOCK_CANDIDATES = 16 * (80 + 80 * 5) * 5
+# Pivots in a scoring block, as many as a default training batch builds. On
+# perfbench's cluster_test input (D = 64) 16 test-regime pivots held at most
+# 1.3 MiB and peaked at 2.2 MiB while built (tracemalloc); 64 held 4.8 MiB,
+# peaked at 8.0 MiB and ran no faster.
+BLOCK_PIVOTS = 16
 
 
 @dataclass(frozen=True)
@@ -81,21 +80,6 @@ class InstancePivotSubgraph:
         adj = np.zeros((self.size, self.size), dtype=np.float32)
         adj[self.edges[0], self.edges[1]] = 1.0
         return adj
-
-
-def pivot_blocks(n: int, cfg: IpsConfig) -> list:
-    """Pivot id ranges covering 0..n-1, one per block. A block holds as many
-    pivots as keep the candidates of the regime's largest possible subgraphs
-    within BLOCK_CANDIDATES, and at least one: 16 in the test regime (80, 5, 5)
-    once N > 480, one in the train regime (200, 10, 10) once N > 1,921."""
-    largest, reach = 0, 1
-    for k in cfg.k_per_hop:
-        reach *= k
-        largest += reach
-    largest = max(1, min(largest, n - 1))
-    width = max((cfg.u,) + cfg.k_per_hop[1:])
-    step = max(1, BLOCK_CANDIDATES // (largest * width))
-    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _discover(pivots: np.ndarray, nbrs: NeighborTable, cfg: IpsConfig):

@@ -11,7 +11,7 @@ import numpy as np
 from linkgcn.config import PipelineConfig
 from linkgcn.dataset import FeatureSet
 from linkgcn.gcn import GcnModel, forward
-from linkgcn.ips import IpsConfig, build_block, pivot_blocks
+from linkgcn.ips import BLOCK_PIVOTS, IpsConfig, build_block
 from linkgcn.knn import NeighborTable, build_knn, run_threads, thread_count
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, check_merge, pool_edges, propagate_cluster
 
@@ -42,18 +42,19 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
     neighbors into an (N, width) likelihood table, row p for pivot p, and pool
     it into one edge set. A pivot's 1-hop nodes are the first width ids of its
     kNN row, in order, since a row holds neither self nor duplicates. Each of
-    thread_count(workers) threads writes the rows of its blocks of pivots;
-    worker-count invariant. An empty table, of one instance, scores nothing."""
+    thread_count(workers) threads writes the rows of its blocks of
+    BLOCK_PIVOTS consecutive pivots; invariant to worker count and block
+    size. An empty table, of one instance, scores nothing."""
     threads = thread_count(workers)
     _check_width(fs, model)
     probs = np.empty((fs.n, nbrs.width(ips_cfg.k_per_hop[0])), dtype=model.dtype)
 
-    def run_block(pivots):
+    def run_block(lo):
         with np.errstate(all="ignore"):  # per thread; pool_edges rejects non-finite rows
-            for ips in build_block(pivots, fs, nbrs, ips_cfg):
+            for ips in build_block(range(lo, min(lo + BLOCK_PIVOTS, fs.n)), fs, nbrs, ips_cfg):
                 probs[ips.pivot] = forward(model, ips)
 
-    run_threads(run_block, pivot_blocks(fs.n, ips_cfg) if probs.size else [], threads)
+    run_threads(run_block, range(0, fs.n if probs.size else 0, BLOCK_PIVOTS), threads)
     return pool_edges(nbrs.indices[:, :probs.shape[1]], probs)
 
 

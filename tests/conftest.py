@@ -98,3 +98,12 @@ def synth_1k_set():
 @pytest.fixture(scope="session")
 def synth_1k_nbrs(synth_1k_set):
     return build_knn(synth_1k_set, 85)
+
+
+@pytest.fixture(scope="session")
+def synth_246_set():
+    """246 instances: more than the train regime's k1 = 200 + 1, and 15
+    blocks of 16 pivots and a last block of 6."""
+    spec = SynthSpec(num_identities=6, samples_per_identity=(41, 41), dim=16,
+                     center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
+    return normalize_rows(synth_generate(spec))

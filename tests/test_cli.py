@@ -255,6 +255,64 @@ def test_config_workers_reach_the_knn_stage(synth_dir, tmp_path, capsys, monkeyp
     assert seen == [workers]
 
 
+def config_line(name, value):
+    """A config-file line setting `name` to `value`."""
+    if isinstance(value, tuple):
+        value = ",".join(map(str, value))
+    return f"{name}={str(value).lower() if isinstance(value, bool) else value}\n"
+
+
+def test_every_config_key_is_read_by_some_command():
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    read = [key for keys in cli.CONFIG_KEYS_READ.values() for key in keys]
+    assert set(read) == set(fields)
+    takes_config = {name for name, sub in subcommand_parsers().items()
+                    if any("--config" in action.option_strings for action in sub._actions)}
+    assert set(cli.CONFIG_KEYS_READ) == takes_config
+
+
+@pytest.mark.parametrize("command, required", [
+    ("train", ["--labels", "l"]),
+    ("cluster", ["--checkpoint", "m"]),
+    ("baseline", ["--tau-sim", "0.5"]),
+    ("upper-bound", ["--labels", "l"])])
+def test_unread_config_keys_are_one_warning(tmp_path, capsys, monkeypatch, command, required):
+    # every field at its default, in reverse field order: the warning lists
+    # the keys the command does not read in file order; the keys it reads
+    # draw none
+    def stop(*args):
+        raise ValueError("stop before any work")
+
+    monkeypatch.setattr(dataset, "load_features", stop)
+    defaults = PipelineConfig()
+    keys = [f.name for f in dataclasses.fields(PipelineConfig)][::-1]
+    unread = [key for key in keys if key not in cli.CONFIG_KEYS_READ[command]]
+    for listed, warning in ((keys, f"warning: {command} does not read config keys: "
+                                   f"{', '.join(unread)}\n"),
+                            (cli.CONFIG_KEYS_READ[command], "")):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(config_line(key, getattr(defaults, key)) for key in listed))
+        code, _, err = run(capsys, command, "--features", "f", *required, "--config", str(cfg))
+        assert code == 1
+        assert err == warning + "error: stop before any work\n"
+
+
+def test_baseline_warns_of_seed_and_epochs(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=7\nepochs=3\n")
+    outputs = {}
+    for name, extra in (("plain", []), ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        code, stdout, err = run(capsys, "baseline", "--features", str(synth_dir / "features.fmat"),
+                                "--k", "10", "--tau-sim", "0.8", "--out-dir", str(out), *extra)
+        assert code == 0, err
+        outputs[name] = (stdout.replace(str(out), ""),
+                         (out / "baseline_partition.tsv").read_bytes(), err)
+    assert outputs["plain"][2] == ""
+    assert outputs["config"][2] == "warning: baseline does not read config keys: seed, epochs\n"
+    assert outputs["config"][:2] == outputs["plain"][:2]
+
+
 def test_train_bad_feature_path_returns_one(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--features", str(tmp_path / "nope.fmat"),
                        "--labels", str(tmp_path / "nope.lbls"),
@@ -557,6 +615,20 @@ def test_toy2d_bad_steps_fail_before_the_draw(tmp_path, capsys, monkeypatch, ste
     assert code == 1
     assert stdout == ""
     assert err == f"error: --steps must be an integer >= 1, got {steps}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k1", ["-2", "0"])
+def test_toy2d_bad_k1_fails_before_the_draw(tmp_path, capsys, monkeypatch, k1):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a bad --k1 reached the synth draw")
+
+    monkeypatch.setattr(dataset, "synth_generate", no_draw)
+    out = tmp_path / "t"
+    code, stdout, err = run(capsys, "toy2d", "--k1", k1, "--out-dir", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --k1 must be an integer >= 1, got {k1}\n"
     assert not out.exists()
 
 

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
-from linkgcn.ips import (IpsConfig, _wire, build_block, normalize_node_features, pivot_blocks,
+from linkgcn.dataset import FeatureSet, normalize_rows
+from linkgcn.ips import (BLOCK_PIVOTS, IpsConfig, _wire, build_block, normalize_node_features,
                          regime_config)
 from linkgcn.knn import build_knn
 from oracle_utils import discover_nodes_loop, subgraph_adjacency_oracle
@@ -267,28 +267,30 @@ def assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg):
         assert ips.features.tobytes() == (fs.features[nodes] - fs.features[pivot]).tobytes()
 
 
+def scoring_blocks(n):
+    """The pivot blocks pipeline.predict_links scores: BLOCK_PIVOTS
+    consecutive pivots each, the last block partial."""
+    return [range(lo, min(lo + BLOCK_PIVOTS, n)) for lo in range(0, n, BLOCK_PIVOTS)]
+
+
 @pytest.mark.parametrize("k_per_hop", [(80,), (80, 5), (80, 5, 5)])
 def test_blocks_match_loop_oracles(synth_1k_set, synth_1k_nbrs, k_per_hop):
     cfg = IpsConfig(h=len(k_per_hop), k_per_hop=k_per_hop, u=5)
-    blocks = pivot_blocks(synth_1k_set.n, cfg)
+    blocks = scoring_blocks(synth_1k_set.n)
     assert [p for b in blocks for p in b] == list(range(synth_1k_set.n))
-    assert 0 < len(blocks[-1]) < len(blocks[0])     # a partial last block
+    assert 0 < len(blocks[-1]) < len(blocks[0]) == BLOCK_PIVOTS     # a partial last block
     for pivots in blocks:
         assert_match_oracles(build_block(pivots, synth_1k_set, synth_1k_nbrs, cfg),
                              pivots, synth_1k_set, synth_1k_nbrs, cfg)
 
 
-def test_blocks_match_loop_oracles_train_regime():
-    # 246 instances make 16 blocks of 15 pivots and a last block of 6
-    spec = SynthSpec(num_identities=6, samples_per_identity=(41, 41), dim=16,
-                     center_spread=1.0, noise_scale=(0.05, 0.15), seed=4)
-    fs = normalize_rows(synth_generate(spec))
+def test_blocks_match_loop_oracles_train_regime(synth_246_set):
+    fs = synth_246_set
     nbrs = build_knn(fs, fs.n - 1)
     oversize, full = (IpsConfig(h=2, k_per_hop=(k1, 10), u=10) for k1 in (300, fs.n - 1))
-    assert pivot_blocks(fs.n, oversize) == pivot_blocks(fs.n, full)
+    blocks = scoring_blocks(fs.n)
+    assert [len(b) for b in blocks] == [BLOCK_PIVOTS] * 15 + [6]
     for cfg in (IpsConfig(h=2, k_per_hop=(200, 10), u=10), full, oversize):
-        blocks = pivot_blocks(fs.n, cfg)
-        assert 0 < len(blocks[-1]) < len(blocks[0])
         for pivots in blocks:
             subgraphs = build_block(pivots, fs, nbrs, cfg)
             assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import conftest
-from linkgcn import knn, pipeline
+from linkgcn import gcn, knn, pipeline
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
 from linkgcn.gcn import forward, init_model
-from linkgcn.ips import BLOCK_CANDIDATES, InstancePivotSubgraph, IpsConfig, pivot_blocks
+from linkgcn.ips import BLOCK_PIVOTS, InstancePivotSubgraph, IpsConfig, regime_config
 from linkgcn.knn import build_knn
 
 
@@ -80,7 +80,7 @@ def test_scoring_threads_are_bounded(synth_1k_set, synth_1k_nbrs, scored, monkey
     # an int is an explicit worker count; a dict is the BLAS environment of a
     # run that passes none
     model, reference = scored
-    blocks = len(pivot_blocks(synth_1k_set.n, IPS))
+    blocks = -(-synth_1k_set.n // BLOCK_PIVOTS)
     assert 3 < blocks < 64
     SerialExecutor.created = []
     monkeypatch.setattr(knn, "ThreadPoolExecutor", SerialExecutor)
@@ -119,6 +119,21 @@ def test_threads_give_the_serial_result(synth_1k_set, synth_1k_nbrs, scored, mon
     assert created == [4, 4]
 
 
+@pytest.mark.parametrize("aggregator", gcn.AGGREGATORS)
+def test_scores_do_not_depend_on_the_block_size(synth_246_set, monkeypatch, aggregator):
+    fs = synth_246_set
+    nbrs = build_knn(fs, 200)
+    model = init_model([16, 8, 8], aggregator, seed_stream(0, "init"), attention_hidden=8)
+    # the test regime and the train regime
+    for ips_cfg in (regime_config(80, 5, 5, 2), regime_config(200, 10, 10, 2)):
+        results = set()
+        for size in (1, 7, 16, fs.n):
+            monkeypatch.setattr(pipeline, "BLOCK_PIVOTS", size)
+            edges = pipeline.predict_links(fs, nbrs, model, ips_cfg, workers=2)
+            results.add((edges.i.tobytes(), edges.j.tobytes(), edges.w.tobytes()))
+        assert len(results) == 1
+
+
 WIDTHS = [64, 256, 256, 128, 64]  # the default model at D = 64
 
 
@@ -154,13 +169,12 @@ def test_extra_workers_cost_less_than_a_block_each():
 
 
 def pivot_block_bytes():
-    """What a scoring worker's block of subgraphs can hold for the test
-    regime's largest subgraph (80 + 80 * 5 nodes, 5 wiring candidates each):
-    the block's float32 node features and four int64 wiring arrays of
-    BLOCK_CANDIDATES. About 3 MiB."""
-    nodes = 80 + 80 * 5
-    pivots = BLOCK_CANDIDATES // (nodes * 5)
-    return pivots * nodes * WIDTHS[0] * 4 + 4 * BLOCK_CANDIDATES * 8
+    """What a scoring worker's block of BLOCK_PIVOTS subgraphs can hold for
+    the test regime's largest subgraph (80 + 80 * 5 nodes, 5 wiring
+    candidates each): the block's float32 node features and four int64
+    wiring arrays of one entry per candidate. About 3 MiB."""
+    nodes = BLOCK_PIVOTS * (80 + 80 * 5)
+    return nodes * WIDTHS[0] * 4 + 4 * nodes * 5 * 8
 
 
 def forward_bytes():
