@@ -133,11 +133,12 @@ def _wire(owner: np.ndarray, nodes: np.ndarray, nbrs: NeighborTable, u: int):
 
 
 def normalize_node_features(fs: FeatureSet, pivot, nodes: np.ndarray) -> np.ndarray:
-    """Node features re-expressed relative to the pivot: row q is x_q - x_p.
-    `pivot` is one id, or one id per node."""
+    """Node features re-expressed relative to the pivot: row q is x_q - x_p,
+    subtracted in place from the gathered rows. `pivot` is one id, or one id per node."""
     if len(nodes) == 0:
         raise ValueError("empty node set")
-    return fs.features[nodes] - fs.features[pivot]
+    out = fs.features[nodes]
+    return np.subtract(out, fs.features[pivot], out=out)
 
 
 def build_block(pivots, fs: FeatureSet, nbrs: NeighborTable, cfg: IpsConfig) -> list:

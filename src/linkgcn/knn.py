@@ -79,15 +79,29 @@ def thread_count(workers: int) -> int:
 
 
 def run_threads(fn, items, threads: int) -> None:
-    """Call fn on every item, on min(threads, len(items)) threads, or in the
-    calling thread when that is 1. An exception raised by fn reaches the caller."""
-    threads = min(threads, len(items))
-    if threads <= 1:
-        for item in items:
-            fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, items))
+    """Call fn on every item on min(threads, len(items)) threads, this one among
+    them, all taking items from one iterator. Returns once every helper has
+    finished; the first exception stops new items and reaches the caller."""
+    todo, lock, failed = iter(items), threading.Lock(), threading.Event()
+
+    def take():
+        with lock:
+            return todo if failed.is_set() else next(todo, todo)  # todo: none left
+
+    def drain():
+        try:
+            for item in iter(take, todo):
+                fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    if (helpers := min(threads, len(items)) - 1) < 1:
+        return drain()
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        results = pool.map(lambda _: drain(), range(helpers))
+        drain()
+    list(results)
 
 
 def build_knn(fs: FeatureSet, k: int, workers: int = 0) -> NeighborTable:

@@ -147,6 +147,20 @@ def test_normalize_node_features_subtracts_pivot():
     np.testing.assert_array_equal(out, [[2, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("per_node", [False, True])
+def test_normalize_node_features_leaves_its_input(per_node):
+    # one pivot, or one per node as build_block passes
+    rng = np.random.default_rng(4)
+    fs = FeatureSet(features=rng.standard_normal((30, 5)).astype(np.float32))
+    before = fs.features.copy()
+    nodes = np.array([3, 1, 7, 3, 29])
+    pivot = np.array([0, 0, 2, 5, 5]) if per_node else 0
+    out = normalize_node_features(fs, pivot, nodes)
+    assert out.tobytes() == (before[nodes] - before[pivot]).tobytes()
+    assert fs.features.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, fs.features)
+
+
 def test_normalize_node_features_mean_oracle():
     rng = np.random.default_rng(3)
     fs = FeatureSet(features=rng.standard_normal((30, 5)).astype(np.float32))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -138,7 +139,7 @@ def test_build_knn_selection_threads(small_random_set, monkeypatch, workers, env
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every pool run_threads opens."""
+    """The max_workers of every pool run_threads opens: its helper threads."""
     created = []
 
     class RecordingExecutor(knn.ThreadPoolExecutor):
@@ -152,8 +153,8 @@ def pools(monkeypatch):
 
 @pytest.mark.parametrize("threads, items, expect", [
     (1, 5, []),    # one thread: the calling thread, no pool
-    (2, 5, [2]),
-    (8, 3, [3]),   # never more threads than items
+    (2, 5, [1]),   # the calling thread and one helper
+    (8, 3, [2]),   # never more threads than items
     (4, 1, []),    # one item: no pool
     (2, 0, []),
 ])
@@ -175,7 +176,97 @@ def test_run_threads_raises_a_worker_exception(pools, threads):
 
     with pytest.raises(ArithmeticError, match="item 3"):
         knn.run_threads(fn, range(6), threads)
-    assert pools == ([] if threads == 1 else [2])
+    assert pools == ([] if threads == 1 else [1])
+
+
+def in_caller():
+    return threading.current_thread() is threading.main_thread()
+
+
+def rendezvous():
+    """For an item to call first: marks its kind of thread (calling or helper)
+    as started, waits until the other kind has started an item too, and
+    returns in_caller(). On two threads, neither can then run every item."""
+    started = {True: threading.Event(), False: threading.Event()}
+
+    def meet():
+        caller = in_caller()
+        started[caller].set()
+        assert started[not caller].wait(timeout=10)
+        return caller
+    return meet
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_run_threads_calling_thread_takes_items(pools, threads):
+    # a helper's item waits until the calling thread has run one, which it can
+    # only do if it takes items itself; a helper that waited in vain says so
+    caller_ran, waits = threading.Event(), []
+
+    def fn(item):
+        if in_caller():
+            caller_ran.set()
+        else:
+            waits.append(caller_ran.wait(timeout=10))
+
+    knn.run_threads(fn, range(2 * threads), threads)
+    assert caller_ran.is_set()
+    assert all(waits)
+    assert pools == [threads - 1]
+
+
+@pytest.mark.parametrize("caller_raises", [False, True])
+def test_run_threads_waits_for_a_slow_helper(caller_raises):
+    # the calling thread's item ends (or raises) while the helper's sleeps
+    meet, finished = rendezvous(), []
+
+    def fn(item):
+        if meet():
+            if caller_raises:
+                raise ArithmeticError("caller")
+        else:
+            time.sleep(0.3)
+            finished.append(item)
+
+    if caller_raises:
+        with pytest.raises(ArithmeticError, match="caller"):
+            knn.run_threads(fn, range(2), 2)
+    else:
+        knn.run_threads(fn, range(2), 2)
+    assert len(finished) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_run_threads_stops_after_the_first_error(threads):
+    started = []
+
+    def fn(item):
+        started.append(item)
+        raise ArithmeticError(f"item {item}")
+
+    with pytest.raises(ArithmeticError, match="item"):
+        knn.run_threads(fn, range(50), threads)
+    # each thread may have taken one item before any raised, and none after
+    assert 1 <= len(started) <= threads
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_run_threads_raises_from_either_thread(raiser):
+    # both kinds of thread run items and only the items of `raiser` raise; the
+    # other kind's items wait for that, after which no new item may start
+    meet, raised, started = rendezvous(), threading.Event(), []
+
+    def fn(item):
+        started.append(item)
+        if meet() == (raiser == "caller"):
+            raised.set()
+            raise ArithmeticError(raiser)
+        assert raised.wait(timeout=10)
+
+    with pytest.raises(ArithmeticError, match=raiser):
+        knn.run_threads(fn, range(20), 2)
+    # one item each, and at most one more that raced the raise
+    assert len(started) <= 3
 
 
 def test_neighbor_table_validation():
