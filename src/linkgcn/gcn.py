@@ -186,17 +186,22 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
     """Every layer and the head over the graph with edges (ei, ej), sorted
     row-major. The last layer and the head cover only the first head_rows
     nodes (all of them by default). Returns (logits, last layer's output).
-    A `caches` list receives each layer's (X, G, C, Z, softmax cache or
-    None), which the backward pass reads; without one, a layer's arrays are
-    freed as the next layer starts."""
-    X = np.ascontiguousarray(X0, dtype=model.dtype)
-    n = X.shape[0]
+    Layer l holds one buffer C = [X | G X]: its mix writes the right half,
+    and its GEMM writes layer l + 1's left half, where the ReLU runs in
+    place. A `caches` list receives each layer's (X, G, C, Y, softmax cache
+    or None), Y the ReLU output, which the backward pass reads; without
+    one, a layer's arrays are freed as the next layer starts."""
+    n = X0.shape[0]
+    C = np.empty((n, 2 * X0.shape[1]), dtype=model.dtype)
+    C[:, :X0.shape[1]] = X0
     last = len(model.layer_weights) - 1
     segs = _edge_segments(ei, n)
     mean_w = None
     if model.aggregator == "mean":
         mean_w = _mean_weights(ei, ej, segs[0], model.dtype, model.mean_row_normalized)
     for l, W in enumerate(model.layer_weights):
+        d = C.shape[1] // 2
+        X = C[:, :d]
         w, soft = mean_w, None
         if mean_w is None:
             # softmax over each node's out-edges of the edge's cosine or attention score
@@ -208,16 +213,20 @@ def _forward_edges(model: GcnModel, X0: np.ndarray, ei: np.ndarray, ej: np.ndarr
         if l == 0 or soft is not None:  # `mean` weights ignore X: one G serves every layer
             G = np.zeros((n, n), dtype=model.dtype)
             G[ei, ej] = w
-        r = head_rows if l == last else None
-        C = np.concatenate([X[:r], G[:r] @ X], axis=1)
-        Z = C @ W
+        r = head_rows if l == last else n
+        np.matmul(G[:r], X, out=C[:r, d:])
+        if l == last:
+            Y = C[:r] @ W
+        else:  # the left half of the next layer's buffer
+            C_next = np.empty((n, 2 * W.shape[1]), dtype=model.dtype)
+            Y = np.matmul(C, W, out=C_next[:, :W.shape[1]])
+        np.maximum(Y, 0, out=Y)
         if caches is not None:
-            caches.append((X, G, C, Z, soft))
-        del C  # each layer's arrays go before the next layer's are allocated
-        X = np.maximum(Z, 0)
-        del Z
-    logits = X @ model.head_weight + model.head_bias
-    return logits, X
+            caches.append((X, G, C[:r], Y, soft))
+        if l < last:
+            C = C_next
+    logits = Y @ model.head_weight + model.head_bias
+    return logits, Y
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -261,12 +270,13 @@ def _backward(model: GcnModel, caches, last, dlogits) -> list:
     d_layers = [None] * len(model.layer_weights)
     d_attn = ([None] * len(model.layer_weights)) if model.attention_mlp is not None else None
     for l in range(len(model.layer_weights) - 1, -1, -1):
-        X, G, C, Z, soft = caches[l]
-        dZ = dY * (Z > 0)
+        X, G, C, Y, soft = caches[l]
+        dZ = dY  # the ReLU's gradient, taken in place
+        dZ *= Y > 0
         d_layers[l] = C.T @ dZ
         if l == 0 and model.attention_mlp is None:
             break  # only the attention MLP needs gradient below the first layer
-        r, d = Z.shape[0], X.shape[1]
+        r, d = Y.shape[0], X.shape[1]
         dC = dZ @ model.layer_weights[l].T
         dM = dC[:, d:]
         dY = G[:r].T @ dM

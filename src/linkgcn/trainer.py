@@ -136,8 +136,7 @@ def toy2d_trace(fs: FeatureSet, ips: InstancePivotSubgraph, steps: int, seed: in
     for it in range(steps):
         caches = []
         _forward_edges(model, ips.features, *ips.edges, caches=caches)
-        for layer, (_, _, _, Z, _) in enumerate(caches):
-            Y = np.maximum(Z, 0)
+        for layer, (_, _, _, Y, _) in enumerate(caches):
             for node in range(ips.size):
                 rows.append((it, layer, int(ips.nodes[node]), float(Y[node, 0]),
                              float(Y[node, 1])))

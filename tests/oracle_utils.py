@@ -33,8 +33,9 @@ def random_instance(aggregator, seed, n=8, dims=(4, 3, 3, 3, 3), attention_hidde
         caches = []
         gcn._forward_edges(model, X, ei, ej, caches=caches)
         margin = np.inf
-        for layer, (X_in, _, _, Z, _) in enumerate(caches):
-            margin = min(margin, float(np.min(np.abs(Z))))
+        for layer, (X_in, _, C, _, _) in enumerate(caches):
+            # the layer's ReLU input, recomputed from its [X | G X] buffer
+            margin = min(margin, float(np.min(np.abs(C @ model.layer_weights[layer]))))
             if model.aggregator == "attention" and ei.size:
                 # the attention MLP's hidden ReLU, recomputed from the layer input
                 w1, _ = model.attention_mlp[layer]
@@ -150,6 +151,73 @@ def masked_loss_and_grads(model, X, A, labels, loss_mask):
     dlogits = np.zeros_like(logits)
     dlogits[rows] = d_rows
     return loss, gcn._backward(model, caches, last, dlogits)
+
+
+def concat_forward_edges(model, X0, ei, ej, head_rows=None, caches=None):
+    """Reference forward pass: `gcn._forward_edges` with a fresh array for
+    each layer's input, mix, [X | G X] concatenation, ReLU input and ReLU
+    output. `caches` receives each layer's (X, G, C, Z, softmax cache or
+    None), Z the ReLU input, for `concat_backward`."""
+    X = np.ascontiguousarray(X0, dtype=model.dtype)
+    n = X.shape[0]
+    last = len(model.layer_weights) - 1
+    segs = gcn._edge_segments(ei, n)
+    mean_w = None
+    if model.aggregator == "mean":
+        mean_w = gcn._mean_weights(ei, ej, segs[0], model.dtype, model.mean_row_normalized)
+    for l, W in enumerate(model.layer_weights):
+        w, soft = mean_w, None
+        if mean_w is None:
+            mlp = model.attention_mlp[l] if model.attention_mlp is not None else None
+            scores, score_cache = (gcn._cosine_scores(X, ei, ej) if mlp is None
+                                   else gcn._mlp_scores(X, ei, ej, *mlp))
+            w = gcn._segment_softmax(scores, *segs)
+            soft = (ei, ej, segs, w, score_cache)
+        if l == 0 or soft is not None:
+            G = np.zeros((n, n), dtype=model.dtype)
+            G[ei, ej] = w
+        r = head_rows if l == last else None
+        C = np.concatenate([X[:r], G[:r] @ X], axis=1)
+        Z = C @ W
+        if caches is not None:
+            caches.append((X, G, C, Z, soft))
+        X = np.maximum(Z, 0)
+    logits = X @ model.head_weight + model.head_bias
+    return logits, X
+
+
+def concat_backward(model, caches, last, dlogits):
+    """Reference backward pass over `concat_forward_edges`'s caches, with
+    the ReLU mask taken from the ReLU input."""
+    d_head_w = last.T @ dlogits
+    d_head_b = dlogits.sum(axis=0)
+    dY = dlogits @ model.head_weight.T
+    d_layers = [None] * len(model.layer_weights)
+    d_attn = ([None] * len(model.layer_weights)) if model.attention_mlp is not None else None
+    for l in range(len(model.layer_weights) - 1, -1, -1):
+        X, G, C, Z, soft = caches[l]
+        dZ = dY * (Z > 0)
+        d_layers[l] = C.T @ dZ
+        if l == 0 and model.attention_mlp is None:
+            break
+        r, d = Z.shape[0], X.shape[1]
+        dC = dZ @ model.layer_weights[l].T
+        dM = dC[:, d:]
+        dY = G[:r].T @ dM
+        dY[:r] += dC[:, :d]
+        if soft is not None:
+            ei, ej, segs, w, score_cache = soft
+            if r < X.shape[0]:
+                dM = np.concatenate([dM, np.zeros((X.shape[0] - r, d), dM.dtype)])
+            dw = np.sum(dM[ei] * X[ej], axis=1)
+            dscores = gcn._segment_softmax_backward(dw, w, *segs)
+            if d_attn is None:
+                dY += gcn._cosine_backward(dscores, ei, ej, score_cache)
+            else:
+                dx, d_attn[l] = gcn._mlp_backward(dscores, ei, ej, score_cache, X,
+                                                  *model.attention_mlp[l])
+                dY += dx
+    return d_layers + [d_head_w, d_head_b] + [g for pair in d_attn or () for g in pair]
 
 
 def finite_difference_grads(model, X, edges, hop1_labels, eps=1e-4):

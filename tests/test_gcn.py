@@ -1,14 +1,19 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linkgcn import gcn
-from linkgcn.config import seed_stream
+from linkgcn.config import PipelineConfig, seed_stream
 from linkgcn.dataset import FeatureSet, FormatError, normalize_rows
 from linkgcn.gcn import init_model, load_model, save_model
-from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_block
+from linkgcn.ips import InstancePivotSubgraph, IpsConfig, build_block, regime_config
 from linkgcn.knn import build_knn
-from oracle_utils import (dense_mean_oracle, finite_difference_grads, masked_loss_and_grads,
-                          max_relative_error, random_instance, weighted_dense_oracle)
+from linkgcn.trainer import subgraph_labels
+from oracle_utils import (concat_backward, concat_forward_edges, dense_mean_oracle,
+                          finite_difference_grads, masked_loss_and_grads, max_relative_error,
+                          random_instance, weighted_dense_oracle)
 
 
 def random_graph(rng, n, symmetric=True):
@@ -401,6 +406,66 @@ def test_permutation_equivariance(aggregator):
     logits_p, _ = forward_dense(model, X[perm], A[np.ix_(perm, perm)])
     assert loss_p == pytest.approx(loss, abs=1e-6)
     np.testing.assert_allclose(logits_p, logits[perm], atol=1e-6)
+
+
+# ------------------------------------------------------- one-buffer layout
+# Each layer's [X | G X] buffer takes the previous layer's GEMM output and its
+# own mix in place; the reference keeps a fresh array for each of them.
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("aggregator, row_normalized", [
+    ("mean", False), ("mean", True), ("weighted", False), ("attention", False)])
+def test_one_buffer_layout_equals_concatenate_layout(synth_1k_set, synth_1k_nbrs, aggregator,
+                                                     row_normalized, dtype):
+    cfg = PipelineConfig()
+    model = init_model([synth_1k_set.dim, *cfg.hidden_dims], aggregator, seed_stream(10, "init"),
+                       attention_hidden=cfg.attention_hidden, dtype=dtype,
+                       mean_row_normalized=row_normalized)
+    ips = build_block([333], synth_1k_set, synth_1k_nbrs, IpsConfig(h=2, k_per_hop=(80, 5), u=5))[0]
+    edgeless = dataclasses.replace(ips, edges=np.zeros((2, 0), np.int64))
+    for sub in (ips, edgeless):
+        n1 = sub.hop1_count
+        assert sub.size > n1
+        for head_rows in (None, n1):
+            logits, _ = gcn._forward_edges(model, sub.features, *sub.edges, head_rows=head_rows)
+            expect, _ = concat_forward_edges(model, sub.features, *sub.edges, head_rows=head_rows)
+            assert logits.dtype == expect.dtype == dtype
+            assert np.array_equal(logits, expect)
+        # the last pass ran the head on the hop-1 rows, as forward does
+        assert np.array_equal(gcn.forward(model, sub), gcn._softmax(expect)[:, 1])
+
+        labels = (np.arange(n1) % 3 == 0).astype(np.int64)
+        loss, grads = gcn.loss_and_grads_edges(model, sub.features, sub.edges, labels)
+        caches = []
+        logits, last = concat_forward_edges(model, sub.features, *sub.edges, head_rows=n1,
+                                            caches=caches)
+        loss_ref, dlogits = gcn._cross_entropy(logits, labels, n1)
+        assert loss == loss_ref
+        for g, ref in zip(grads, concat_backward(model, caches, last, dlogits), strict=True):
+            assert g.dtype == ref.dtype and np.array_equal(g, ref)
+
+
+def test_train_step_peak_memory(synth_246_set):
+    # one train-regime step of the default model: G, each layer's [X | G X]
+    # buffer and its ReLU output are what the backward pass reads; the
+    # concatenate layout peaked at 2.43x of them, the one-buffer layout 1.72x
+    fs, cfg = synth_246_set, PipelineConfig()
+    ips_cfg = regime_config(cfg.train_k1, cfg.train_k2, cfg.train_u, cfg.hops)
+    ips = build_block([0], fs, build_knn(fs, ips_cfg.table_k), ips_cfg)[0]
+    model = init_model([fs.dim, *cfg.hidden_dims], cfg.aggregator, seed_stream(0, "init"),
+                       attention_hidden=cfg.attention_hidden)
+    labels = subgraph_labels(ips, fs.labels)
+    dims = model.layer_dims
+    rows = [ips.size] * (len(dims) - 2) + [labels.size]  # the last layer runs on hop-1 rows
+    held = (ips.size ** 2 + sum(r * 2 * d for r, d in zip(rows, dims))
+            + sum(r * d for r, d in zip(rows, dims[1:])))
+    tracemalloc.start()
+    try:
+        gcn.loss_and_grads_edges(model, ips.features, ips.edges, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.9 * held * model.dtype.itemsize, peak / (held * model.dtype.itemsize)
 
 
 # ------------------------------------------------------------- checkpoints

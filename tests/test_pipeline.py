@@ -182,9 +182,10 @@ def pivot_block_bytes():
 
 def forward_bytes():
     """One pivot's forward pass through the default model on the largest
-    subgraph, which frees each layer's arrays as the next layer starts: the
-    dense mixing matrix G and the widest layer's input X, mixed input GX,
-    concatenation [X | GX] and output Z, in float32. About 3 MiB."""
+    subgraph, which frees each layer's buffer as the next layer starts: the
+    dense mixing matrix G and, for the widest layer, 4 d_in + d_out float32
+    per node. That covers its [X | GX] buffer and the next layer's (2 d_in +
+    2 d_out) and numpy's 64 KiB buffer for the in-place ReLU. About 3 MiB."""
     nodes = 80 + 80 * 5
     layer = max(4 * d_in + d_out for d_in, d_out in zip(WIDTHS, WIDTHS[1:]))
     return 4 * nodes * (nodes + layer)
