@@ -99,15 +99,17 @@ def cmd_cluster(args):
     cfg, fs = _setup(args)
     model = gcn.load_model(args.checkpoint)
     ips_cfg = regime_config(cfg.test_k1, cfg.test_k2, cfg.test_u, cfg.hops)
-    assignment, edges, timing = pipeline.cluster(
+    assignment, edges, seconds = pipeline.cluster(
         fs, model, ips_cfg, merge=cfg.merge, tau=cfg.tau, tau0=cfg.tau0,
         dtau=cfg.dtau, max_size=cfg.max_size, workers=cfg.workers)
     out = _out_dir(args)
     merge.save_partition(assignment, out / "partition.tsv")
     merge.save_edges(edges, out / "edges.tsv")
+    rows = [*seconds.items(), ("total", sum(seconds.values()))]
+    timing = "\n".join([f"{'stage':<17}seconds"] + [f"{stage:<17}{s:.3f}" for stage, s in rows])
     with open(out / "timing.txt", "w") as fh:
-        fh.write(timing.as_text() + "\n")
-    print(timing.as_text())
+        fh.write(timing + "\n")
+    print(timing)
     print(f"clusters={int(assignment.max()) + 1}")
     print(f"wrote {out / 'partition.tsv'} and {out / 'edges.tsv'}")
 

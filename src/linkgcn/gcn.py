@@ -37,22 +37,26 @@ class GcnModel:
     mean_row_normalized: bool = False
 
     def __post_init__(self):
+        """Check the parameter count, then each shape against param_shapes
+        for the widths the layer weights declare (an attention MLP's hidden
+        width from the last parameter's rows), then that all are finite."""
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.aggregator == "attention" and (
-                self.attention_mlp is None or len(self.attention_mlp) != len(self.layer_weights)):
-            raise ValueError("attention aggregator needs one MLP per layer")
-        if self.aggregator != "attention" and self.attention_mlp is not None:
-            raise ValueError(f"{self.aggregator} aggregator takes no attention MLP")
-        for arr in self.parameters():
+        params = self.parameters()
+        shapes = param_shapes(self.layer_dims, self.aggregator, params[-1].shape[0])
+        if len(params) != len(shapes):
+            raise ValueError(f"{len(params)} parameters for {len(self.layer_weights)} "
+                             f"{self.aggregator} layers, expected {len(shapes)}")
+        for i, (arr, shape) in enumerate(zip(params, shapes)):
+            if arr.shape != shape:
+                raise ValueError(f"tensor {i} shape {arr.shape}, expected {shape}")
+        for arr in params:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite model parameter")
 
     @property
     def layer_dims(self) -> list:
-        dims = [self.layer_weights[0].shape[0] // 2]
-        dims += [w.shape[1] for w in self.layer_weights]
-        return dims
+        return [self.layer_weights[0].shape[0] // 2] + [w.shape[-1] for w in self.layer_weights]
 
     @property
     def dtype(self):
@@ -333,8 +337,8 @@ def save_model(model: GcnModel, path) -> None:
 
 def load_model(path) -> GcnModel:
     """Read a GCNM checkpoint tensor by tensor, checking its header, the
-    tensor count, every tensor's shape against param_shapes for the widths
-    the layer tensors declare, and that nothing trails the last tensor."""
+    tensor count, each tensor's rank and size, and that nothing trails the
+    last tensor; GcnModel checks the shapes and values."""
     with open(path, "rb") as fh:
         agg_tag, row_norm, n_layers, n_tensors = read_header(fh, path, GCNM_MAGIC,
                                                              GCNM_VERSION, "<BBII")
@@ -357,11 +361,6 @@ def load_model(path) -> GcnModel:
                 raise FormatError(f"{path}: empty tensor shape {shape}")
             tensors.append(read_array(fh, path, "<f4", shape, "tensor payload"))
         check_end(fh, path)
-    dims = [tensors[0].shape[0] // 2] + [w.shape[-1] for w in tensors[:n_layers]]
-    hidden = tensors[-1].shape[0]  # rows of the last attention output weight, if any
-    for i, (t, shape) in enumerate(zip(tensors, param_shapes(dims, aggregator, hidden))):
-        if t.shape != shape:
-            raise FormatError(f"{path}: tensor {i} shape {t.shape}, expected {shape}")
     try:
         return GcnModel.from_parameters(aggregator, tensors, bool(row_norm))
     except ValueError as exc:

@@ -1,10 +1,9 @@
 """End-to-end clustering: kNN -> pivot subgraphs -> link scoring -> merging,
-with per-stage wall-time accounting."""
+with per-stage wall times."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,21 +13,6 @@ from linkgcn.gcn import GcnModel, forward
 from linkgcn.ips import BLOCK_PIVOTS, IpsConfig, build_block
 from linkgcn.knn import NeighborTable, build_knn, run_threads, thread_count
 from linkgcn.merge import WeightedEdgeSet, bfs_cluster, check_merge, pool_edges, propagate_cluster
-
-
-@dataclass
-class TimingReport:
-    knn_seconds: float
-    link_prediction_seconds: float
-    merge_seconds: float
-
-    def as_text(self) -> str:
-        total = self.knn_seconds + self.link_prediction_seconds + self.merge_seconds
-        return ("stage            seconds\n"
-                f"knn              {self.knn_seconds:.3f}\n"
-                f"link-prediction  {self.link_prediction_seconds:.3f}\n"
-                f"merge            {self.merge_seconds:.3f}\n"
-                f"total            {total:.3f}")
 
 
 def _check_width(fs: FeatureSet, model: GcnModel) -> None:
@@ -41,8 +25,9 @@ def predict_links(fs: FeatureSet, nbrs: NeighborTable, model: GcnModel,
     """Score every pivot's link to each of its nbrs.width(k1) nearest
     neighbors into an (N, width) likelihood table, row p for pivot p, and pool
     it into one edge set. A pivot's 1-hop nodes are the first width ids of its
-    kNN row, in order, since a row holds neither self nor duplicates. Each of
-    thread_count(workers) threads writes the rows of its blocks of
+    kNN row, in order, since a row holds neither self nor duplicates (a row
+    that lists its pivot gives fewer, and writing them raises ValueError).
+    Each of thread_count(workers) threads writes the rows of its blocks of
     BLOCK_PIVOTS consecutive pivots; invariant to worker count and block
     size. An empty table, of one instance, scores nothing."""
     threads = thread_count(workers)
@@ -62,9 +47,11 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
             merge: str = PipelineConfig.merge, tau: float = PipelineConfig.tau,
             tau0: float = PipelineConfig.tau0, dtau: float = PipelineConfig.dtau,
             max_size: int = PipelineConfig.max_size, workers: int = PipelineConfig.workers):
-    """Full pipeline. Returns (assignment, edges, TimingReport). `workers`
-    threads select the kNN top-k and score the pivots; 0 derives the count
-    from the cores the BLAS pool leaves idle (knn.thread_count).
+    """Full pipeline. Returns (assignment, edges, seconds), seconds mapping
+    the stages "knn", "link-prediction" and "merge", in that order, to their
+    wall times. `workers` threads select the kNN top-k and score the pivots;
+    0 derives the count from the cores the BLAS pool leaves idle
+    (knn.thread_count).
 
     The kNN table is ips_cfg.table_k wide, clamped to N-1 with one warning
     by build_knn. A one-instance collection has no neighbor to link: its
@@ -85,6 +72,4 @@ def cluster(fs: FeatureSet, model: GcnModel, ips_cfg: IpsConfig,
     else:
         assignment = bfs_cluster(edges, tau, fs.n)
     t3 = time.perf_counter()
-    timing = TimingReport(knn_seconds=t1 - t0, link_prediction_seconds=t2 - t1,
-                          merge_seconds=t3 - t2)
-    return assignment, edges, timing
+    return assignment, edges, {"knn": t1 - t0, "link-prediction": t2 - t1, "merge": t3 - t2}

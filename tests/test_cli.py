@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -338,7 +339,14 @@ def test_cluster_outputs(synth_dir, trained_dir, tmp_path, capsys):
     assignment = merge.load_partition(out / "partition.tsv")
     assert assignment.shape == (40,)
     assert (out / "edges.tsv").exists()
-    assert "merge" in (out / "timing.txt").read_text()
+    # each stage's label padded to 17 characters, then its seconds to 3 decimals
+    timing = (out / "timing.txt").read_text()
+    lines = timing.splitlines()
+    assert timing == "\n".join(lines) + "\n" and len(lines) == 5
+    assert lines[0] == "stage            seconds"
+    for line, label in zip(lines[1:], ["knn", "link-prediction", "merge", "total"]):
+        assert re.fullmatch(rf"{label:<17}\d+\.\d{{3}}", line), line
+    assert stdout.splitlines()[:5] == lines
 
 
 def test_cluster_worker_count_invariant(synth_dir, trained_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -500,6 +502,41 @@ def _model_with(model, **changes):
     return gcn.GcnModel(**fields)
 
 
+# (aggregator, parameter index, shape written, shape expected): one tensor
+# of a [4, 3, 2] model, attention_hidden = 2, that does not fit the others
+MISSHAPEN = {"unchained": ("mean", 1, (4, 2), (6, 2)),
+             "head": ("mean", 2, (3, 2), (2, 2)),
+             "attention": ("attention", 5, (3, 1), (2, 1))}
+
+
+def _misshapen(case) -> tuple:
+    """(aggregator, parameters) of a MISSHAPEN case."""
+    aggregator, i, shape, _ = MISSHAPEN[case]
+    params = init_model([4, 3, 2], aggregator, seed_stream(0, "init"),
+                        attention_hidden=2).parameters()
+    params[i] = np.zeros(shape, np.float32)
+    return aggregator, params
+
+
+def _raw_gcnm(aggregator, tensors) -> bytes:
+    """save_model's layout for any tensors, checking none of them."""
+    n_layers = (len(tensors) - 2) // (3 if aggregator == "attention" else 1)
+    out = [gcn.GCNM_MAGIC, struct.pack("<IBBII", gcn.GCNM_VERSION,
+                                       gcn.AGGREGATORS.index(aggregator), 0, n_layers,
+                                       len(tensors))]
+    for t in tensors:
+        out += [struct.pack(f"<I{t.ndim}Q", t.ndim, *t.shape), t.astype("<f4").tobytes()]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_model_rejects_misshapen_parameters(case):
+    # save_model would write what load_model refuses, and forward would fail in a matmul
+    _, i, shape, expect = MISSHAPEN[case]
+    with pytest.raises(ValueError, match=re.escape(f"tensor {i} shape {shape}, expected {expect}")):
+        gcn.GcnModel.from_parameters(*_misshapen(case))
+
+
 # header: magic[0:4] version[4:8] aggregator[8] row_norm[9] n_layers[10:14] n_tensors[14:18]
 @pytest.mark.parametrize("case, match", [
     ("bad_tag", "unknown aggregator tag 7"),
@@ -515,7 +552,6 @@ def _model_with(model, **changes):
 ])
 def test_load_model_rejects_malformed(tmp_path, case, match):
     mean = init_model([4, 3, 2], "mean", seed_stream(0, "init"))
-    attn = init_model([4, 3, 2], "attention", seed_stream(0, "init"), attention_hidden=2)
     data = _saved_bytes(tmp_path, mean)
     if case == "bad_tag":
         data = _patch(data, 8, b"\x07")
@@ -529,15 +565,8 @@ def test_load_model_rejects_malformed(tmp_path, case, match):
         data = _patch(data, 10, (3).to_bytes(4, "little"))
     elif case == "trailing":
         data += b"\0"
-    elif case == "unchained":
-        data = _saved_bytes(tmp_path, _model_with(mean, layer_weights=[
-            mean.layer_weights[0], np.zeros((4, 2), np.float32)]))
-    elif case == "head":
-        data = _saved_bytes(tmp_path, _model_with(mean, head_weight=np.zeros((3, 2), np.float32)))
-    elif case == "attention":
-        w1, w2 = attn.attention_mlp[0]
-        data = _saved_bytes(tmp_path, _model_with(attn, attention_mlp=[
-            (w1, np.zeros((3, 1), np.float32)), attn.attention_mlp[1]]))
+    elif case in MISSHAPEN:
+        data = _raw_gcnm(*_misshapen(case))
     elif case == "nonfinite":
         mean.head_bias[0] = np.inf   # after construction, so save_model writes it
         data = _saved_bytes(tmp_path, mean)
@@ -561,7 +590,7 @@ def test_model_rejects_attention_mlp_without_attention(aggregator):
     # a weighted model would otherwise score with the MLPs, save a file that
     # load_model rejects, and a mean model would fail in the backward pass
     attn = init_model([4, 3, 3], "attention", seed_stream(0, "init"), attention_hidden=2)
-    with pytest.raises(ValueError, match=f"^{aggregator} aggregator takes no attention MLP$"):
+    with pytest.raises(ValueError, match=f"^8 parameters for 2 {aggregator} layers, expected 4$"):
         _model_with(attn, aggregator=aggregator)
     plain = _model_with(attn, aggregator=aggregator, attention_mlp=None)
     assert len(plain.parameters()) == 2 + 2

@@ -29,9 +29,9 @@ def wire(nodes, nbrs, u):
 
 
 def discover(pivot, fs, nbrs, cfg):
-    """(nodes, hops) of one pivot's subgraph."""
+    """(nodes, hop1_count) of one pivot's subgraph."""
     ips = build_block([pivot], fs, nbrs, cfg)[0]
-    return ips.nodes, ips.hop_of
+    return ips.nodes, ips.hop1_count
 
 
 def dense(edges, n):
@@ -91,22 +91,22 @@ def test_table_k_covers_u():
 
 def test_discover_single_hop(small_random_set):
     nbrs = build_knn(small_random_set, 10)
-    nodes, hops = discover(3, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(3,), u=1))
+    nodes, hop1 = discover(3, small_random_set, nbrs, IpsConfig(h=1, k_per_hop=(3,), u=1))
     np.testing.assert_array_equal(nodes, nbrs.indices[3, :3])
-    np.testing.assert_array_equal(hops, [1, 1, 1])
+    assert hop1 == 3
 
 
 def test_discover_dedup_absorbs_second_hop():
     # 5 points on a line of decreasing similarity to point 0; pivot's 2
     # neighbors share their own top-2 with the hop-1 set, so hop 2 adds some
-    # nodes but never re-adds hop-1 members, and hop_of keeps the minimum.
+    # nodes but never re-adds hop-1 members, which stay the first hop1_count.
     feats = np.array([[1, 0], [0.95, 0.31], [0.9, 0.44], [0.0, 1.0], [-1, 0.0]],
                      dtype=np.float32)
     fs = normalize_rows(FeatureSet(features=feats))
     nbrs = build_knn(fs, 4)
     oracle = sorted_neighbor_oracle(fs.features)
     cfg = IpsConfig(h=2, k_per_hop=(2, 2), u=2)
-    nodes, hops = discover(0, fs, nbrs, cfg)
+    nodes, hop1_count = discover(0, fs, nbrs, cfg)
     # hand-run expansion with the oracle
     hop1 = oracle[0][:2]
     seen = {0, *hop1}
@@ -119,7 +119,7 @@ def test_discover_dedup_absorbs_second_hop():
                 expect_nodes.append(r)
                 expect_hops.append(2)
     assert list(nodes) == expect_nodes
-    assert list(hops) == expect_hops
+    assert hop1_count == expect_hops.count(1)
     assert 0 not in nodes
 
 
@@ -129,9 +129,9 @@ def test_discover_node_count_bound():
     nbrs = build_knn(fs, 10)
     cfg = IpsConfig(h=2, k_per_hop=(10, 2), u=3)
     for pivot in range(0, 100, 7):
-        nodes, hops = discover(pivot, fs, nbrs, cfg)
+        nodes, hop1 = discover(pivot, fs, nbrs, cfg)
         assert 10 <= len(nodes) <= 10 + 10 * 2
-        assert int(np.sum(hops == 1)) == 10
+        assert hop1 == 10
 
 
 def test_discover_k_exceeds_table(small_random_set):
@@ -234,8 +234,8 @@ def test_build_ips_invariants(synth_1k_set, synth_1k_nbrs):
         assert np.all(np.diag(ips.adjacency) == 0)
         assert ips.features.shape == (ips.size, synth_1k_set.dim)
         # every hop-2 node is within the top-k2 lists of some hop-1 node
-        hop1 = set(int(v) for v in ips.nodes[ips.hop_of == 1])
-        for node in ips.nodes[ips.hop_of == 2]:
+        hop1 = set(int(v) for v in ips.nodes[:ips.hop1_count])
+        for node in ips.nodes[ips.hop1_count:]:
             parents = [q for q in hop1
                        if int(node) in synth_1k_nbrs.indices[q, :5]]
             assert parents
@@ -253,10 +253,10 @@ def test_build_ips_deterministic(synth_1k_set, synth_1k_nbrs):
 def test_build_ips_min_hop_recorded(synth_1k_set, synth_1k_nbrs):
     cfg = IpsConfig(h=2, k_per_hop=(20, 5), u=5)
     ips = build_block([5], synth_1k_set, synth_1k_nbrs, cfg)[0]
-    hop1_nodes = ips.nodes[ips.hop_of == 1]
+    hop1_nodes = ips.nodes[:ips.hop1_count]
     np.testing.assert_array_equal(hop1_nodes, synth_1k_nbrs.indices[5, :20])
-    # nothing tagged hop 2 may sit in the pivot's top-k1 list
-    assert not set(ips.nodes[ips.hop_of == 2]) & set(synth_1k_nbrs.indices[5, :20].tolist())
+    # nothing after the hop-1 nodes may sit in the pivot's top-k1 list
+    assert not set(ips.nodes[ips.hop1_count:]) & set(synth_1k_nbrs.indices[5, :20].tolist())
 
 
 # ------------------------------------------- blocks against the loop oracles
@@ -273,7 +273,7 @@ def assert_match_oracles(subgraphs, pivots, fs, nbrs, cfg):
         np.testing.assert_array_equal(ips.nodes[:k1], nbrs.indices[pivot, :k1])
         nodes, hops = discover_nodes_loop(pivot, nbrs.indices, cfg.k_per_hop)
         np.testing.assert_array_equal(ips.nodes, nodes)
-        np.testing.assert_array_equal(ips.hop_of, hops)
+        assert ips.hop1_count == np.count_nonzero(hops == 1)
         expect = subgraph_adjacency_oracle(nodes, nbrs.indices, cfg.u)
         assert ips.adjacency.dtype == expect.dtype
         assert ips.adjacency.tobytes() == expect.tobytes()
@@ -311,7 +311,7 @@ def test_blocks_match_loop_oracles_train_regime(synth_246_set):
             if cfg is oversize:  # the (300, 10) regime reads the N - 1 columns there are
                 for a, b in zip(subgraphs, build_block(pivots, fs, nbrs, full), strict=True):
                     np.testing.assert_array_equal(a.nodes, b.nodes)
-                    np.testing.assert_array_equal(a.hop_of, b.hop_of)
+                    assert a.hop1_count == b.hop1_count
                     np.testing.assert_array_equal(a.edges, b.edges)
 
 

@@ -222,7 +222,7 @@ def test_int32_ids_keep_int64_keys_past_two_to_the_31():
     pivots = [0, 1] + list(range(n - 16, n))
     for ips in build_block(pivots, fs, nbrs, cfg):
         nodes, hops = discover_nodes_loop(ips.pivot, ids, cfg.k_per_hop)
-        assert np.array_equal(ips.nodes, nodes) and np.array_equal(ips.hop_of, hops)
+        assert np.array_equal(ips.nodes, nodes) and ips.hop1_count == np.count_nonzero(hops == 1)
         assert ips.adjacency.tobytes() == subgraph_adjacency_oracle(nodes, ids, cfg.u).tobytes()
 
     probs = rng.random((n, k), dtype=np.float32)

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -11,8 +12,9 @@ from linkgcn import gcn, knn, pipeline
 from linkgcn.config import seed_stream
 from linkgcn.dataset import FeatureSet, SynthSpec, normalize_rows, synth_generate
 from linkgcn.gcn import forward, init_model
-from linkgcn.ips import BLOCK_PIVOTS, InstancePivotSubgraph, IpsConfig, regime_config
-from linkgcn.knn import build_knn
+from linkgcn.ips import BLOCK_PIVOTS, InstancePivotSubgraph, IpsConfig, build_block, regime_config
+from linkgcn.knn import NeighborTable, build_knn
+from oracle_utils import discover_nodes_loop
 
 
 class SerialExecutor:
@@ -202,7 +204,7 @@ def test_forward_holds_one_layer_at_a_time():
     adj |= adj.T
     np.fill_diagonal(adj, False)
     ips = InstancePivotSubgraph(
-        pivot=0, nodes=np.arange(1, nodes + 1), hop_of=np.repeat([1, 2], [80, nodes - 80]),
+        pivot=0, nodes=np.arange(1, nodes + 1), hop1_count=80,
         features=rng.standard_normal((nodes, WIDTHS[0])).astype(np.float32),
         edges=np.stack(np.nonzero(adj)))
     model = init_model(WIDTHS, "mean", seed_stream(0, "init"))
@@ -286,7 +288,7 @@ def test_cluster_one_instance_builds_nothing(monkeypatch, merge):
         assignment, edges, timing = pipeline.cluster(fs, model, IPS, merge=merge)
     np.testing.assert_array_equal(assignment, [0])
     assert len(edges) == 0
-    assert isinstance(timing, pipeline.TimingReport)
+    assert list(timing) == ["knn", "link-prediction", "merge"]
     with pytest.raises(ValueError, match="model expects D=4"):
         pipeline.cluster(FeatureSet(features=np.ones((1, 3), np.float32)), model, IPS)
 
@@ -316,6 +318,35 @@ def test_cluster_clamp_is_one_warning():
         warnings.simplefilter("always")
         pipeline.cluster(fs, model, IPS)
     assert [str(w.message) for w in caught] == ["kNN width clamped to N-1=59: k 80 -> 59"]
+
+
+def test_cluster_times_its_three_stages(synth_1k_set, scored):
+    model, _ = scored
+    start = time.perf_counter()
+    _, _, seconds = pipeline.cluster(synth_1k_set, model, IPS)
+    wall = time.perf_counter() - start
+    assert list(seconds) == ["knn", "link-prediction", "merge"]
+    assert all(s >= 0 for s in seconds.values())
+    assert sum(seconds.values()) <= wall
+
+
+def test_row_listing_its_pivot_fails_scoring():
+    # a hand-built table whose row 3 lists 3: discovery drops the pivot, so its
+    # subgraph has k - 1 hop-1 nodes, and scoring refuses to write k - 1
+    # likelihoods into the pivot's k-wide row
+    n, k, pivot = 10, 4, 3
+    ids = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+    ids[pivot] = [4, pivot, 5, 6]
+    nbrs = NeighborTable(indices=ids, similarities=np.zeros((n, k), np.float32))
+    fs = FeatureSet(features=np.random.default_rng(0).standard_normal((n, 4)).astype(np.float32))
+    cfg = IpsConfig(h=2, k_per_hop=(k, 2), u=2)
+    ips = build_block([pivot], fs, nbrs, cfg)[0]
+    nodes, hops = discover_nodes_loop(pivot, ids, cfg.k_per_hop)
+    np.testing.assert_array_equal(ips.nodes, nodes)
+    assert ips.hop1_count == np.count_nonzero(hops == 1) == k - 1
+    model = init_model([4, 8], "mean", seed_stream(0, "init"))
+    with pytest.raises(ValueError):
+        pipeline.predict_links(fs, nbrs, model, cfg, workers=1)
 
 
 def test_negative_workers_are_rejected(synth_1k_set, synth_1k_nbrs, scored):
